@@ -14,6 +14,7 @@ import json
 import os
 import sys
 import tempfile
+from contextlib import contextmanager
 from pathlib import Path
 
 import click
@@ -89,6 +90,18 @@ def _error_json(out: Path, kind: str, message: str) -> None:
         pass
 
 
+@contextmanager
+def _solve_errors(out: Path):
+    """Invalid sizes exit 2; a failed numerical check exits 3 with ``error.json``."""
+    try:
+        yield
+    except exact.NumericalCheckError as err:
+        _error_json(out, "numerical", str(err))
+        raise NumericalError(str(err))
+    except ValueError as err:  # includes BasisTooLargeError
+        raise ConfigError(str(err))
+
+
 def _state_str(s) -> str:
     return "".join(str(x) for x in s)
 
@@ -130,7 +143,7 @@ def basis(sites, species, config, out, seed):
         raise ConfigError(str(err))
     part = spinchain.partition_classes(b, m)
     _write_csv(out_dir / "basis.csv", ["state", "class_id"],
-               [[_state_str(s), part.class_of[s]] for s in b])
+               [[_state_str(s), c] for s, c in zip(b, part.class_ids.tolist())])
     bound = spinchain.class_count_lower_bound(n, m)
     _atomic_write(out_dir / "classes.json", json.dumps({
         "N": n, "M": m, "n_states": len(b), "n_classes": len(part),
@@ -185,18 +198,13 @@ def exact_cmd(sites, species, kernel, config, out, seed):
     k = int(cfg.get("K") or min(4, n // 2))
     out_dir = _resolve_out(out)
     _echo_config(out_dir, "exact", {"N": n, "M": m, "K": k})
-    try:
+    with _solve_errors(out_dir):
         gs = exact.ground_state(n, m, gauge=(m == 2))
-    except exact.DegenerateGroundStateError as err:
-        _error_json(out_dir, "numerical", str(err))
-        raise NumericalError(str(err))
-    except (ValueError, spinchain.BasisTooLargeError) as err:
-        raise ConfigError(str(err))
-    part = spinchain.partition_classes(gs.basis, m)
+    part = spinchain.partition_classes(gs.states, m)
     _atomic_write(out_dir / "exact.json", json.dumps({
         "N": n, "M": m, "K": k, "gauge": gs.gauge, "solver": gs.solver,
         "E0": gs.e0, "Emax": gs.emax, "gap_estimate": exact.gap_estimate(gs),
-        "residual": gs.residual, "basis_size": len(gs.basis),
+        "residual": gs.residual, "basis_size": len(gs.states),
         "trace_check": 1.0,
         "class_count_99": exact.cumulative_class_mass(gs, part, 0.99),
     }, indent=2) + "\n")
@@ -227,11 +235,9 @@ def mev(sites, species, kernel, config, out, seed):
     k = int(_require(cfg, "K"))
     out_dir = _resolve_out(out)
     _echo_config(out_dir, "mev", {"N": n, "M": m, "K": k})
-    try:
+    with _solve_errors(out_dir):
         gs = exact.ground_state(n, m, gauge=(m == 2))
         table = exact.exact_mev(gs, k)
-    except (ValueError, spinchain.BasisTooLargeError) as err:
-        raise ConfigError(str(err))
     _write_csv(out_dir / "mev.csv", ["motif", "probability", "count"],
                [[_state_str(mo), f"{v!r}", f"{v * n!r}"] for mo, v in table.items()])
     click.echo(f"{len(table)} motifs -> {out_dir}")
@@ -252,8 +258,9 @@ def cft(kernel, beta, calibrate_n, config, out, seed):
                                   "calibrate_N": cfg.get("calibrate_N")})
     b = cfg.get("beta")
     if cfg.get("calibrate_N"):
-        ref_gs = exact.ground_state(int(cfg["calibrate_N"]), 2, gauge=True)
-        b = exact.calibrate_beta(k, exact.exact_mev(ref_gs, k))
+        with _solve_errors(out_dir):
+            ref_gs = exact.ground_state(int(cfg["calibrate_N"]), 2, gauge=True)
+            b = exact.calibrate_beta(k, exact.exact_mev(ref_gs, k))
     if b is None:
         raise ConfigError("need --beta or --calibrate-n")
     try:
@@ -301,12 +308,10 @@ def train(sites, kernel, algorithm, eta, n_opt, max_iter, n_samples, seeds,
     digest = _echo_config(out_dir, "train", run_cfg)
 
     e0 = gap = None
-    try:
+    with _solve_errors(out_dir):
         if spinchain.basis_size(n, 2) <= 100_000:
             gs = exact.ground_state(n, 2, gauge=True)
             e0, gap = gs.e0, exact.gap_estimate(gs)
-    except ValueError as err:
-        raise ConfigError(str(err))
 
     summaries = []
     for s in seed_list:
@@ -372,7 +377,7 @@ def regress(mev_csv, runs, config, out, seed):
         result = analysis.ols_regress(design, 100.0 * np.array(values), names)
         _write_csv(out_dir / "feature_regression.csv",
                    ["variable", "coefficient", "std_error", "stars"],
-                   [[nm, f"{c!r}", f"{se!r}", st] for nm, c, se, st in
+                   [[nm, repr(float(c)), repr(float(se)), st] for nm, c, se, st in
                     zip(result.names, result.coefficients, result.std_errors,
                         result.stars)])
         _atomic_write(out_dir / "feature_regression.txt", result.table() + "\n")

@@ -8,59 +8,79 @@ spectra, motif expectation values (MEVs), and the CFT thermal approximation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .motif import Motif, all_motifs, motif_index
-from .spinchain import SpinConfig, EquivalenceClassPartition, enumerate_basis, marshall_sign
+from .spinchain import (
+    EquivalenceClassPartition,
+    SpinConfig,
+    as_states,
+    enumerate_basis,
+    marshall_signs,
+    state_codes,
+)
 
-DENSE_CAP = 4000
+#: Largest sector solved with dense ``eigh``; bigger ones go to Lanczos.  Dense
+#: is faster at 90 states and Lanczos at 252 (one BLAS thread).
+DENSE_CAP = 150
+#: Eigen-residuals above ``RESIDUAL_TOL * max(1, |E|)`` fail the solve.
+RESIDUAL_TOL = 1e-9
 DEGENERACY_TOL = 1e-10
 
 
-class DegenerateGroundStateError(RuntimeError):
+class NumericalCheckError(RuntimeError):
+    """A computation finished but its result failed a numerical check."""
+
+
+class DegenerateGroundStateError(NumericalCheckError):
     pass
 
 
-def _swap(s: SpinConfig, i: int, j: int) -> SpinConfig:
-    lst = list(s)
-    lst[i], lst[j] = lst[j], lst[i]
-    return tuple(lst)
+class ResidualError(NumericalCheckError):
+    pass
 
 
 def build_hamiltonian(
-    basis: list[SpinConfig], gauge: bool = False
+    basis: list[SpinConfig] | np.ndarray, gauge: bool = False
 ) -> sp.csr_matrix:
     """Sparse H = sum of neighbor exchanges (periodic).  With ``gauge`` the
     Marshall similarity transform is applied (M=2 only), making all
-    off-diagonal entries -1."""
-    n = len(basis[0])
-    index = {s: i for i, s in enumerate(basis)}
-    signs = [marshall_sign(s) for s in basis] if gauge else None
+    off-diagonal entries -1.
+
+    One vectorized pass per bond: the states with unlike labels on the bond
+    get their swapped code by digit arithmetic and their row by
+    ``searchsorted`` in the sorted code array.
+    """
+    states = as_states(basis)
+    dim, n = states.shape
+    m = int(states.max()) + 1
+    codes = state_codes(states, m)
+    signs = marshall_signs(states) if gauge else None
+    place = m ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    diag = np.zeros(dim)
     rows, cols, vals = [], [], []
-    for col, s in enumerate(basis):
-        diag = 0.0
-        for i in range(n):
-            j = (i + 1) % n
-            if s[i] == s[j]:
-                diag += 1.0
-            else:
-                t = _swap(s, i, j)
-                row = index[t]
-                amp = 1.0
-                if signs is not None:
-                    amp *= signs[col] * signs[row]
-                rows.append(row)
-                cols.append(col)
-                vals.append(amp)
-        if diag:
-            rows.append(col)
-            cols.append(col)
-            vals.append(diag)
-    dim = len(basis)
-    return sp.csr_matrix((vals, (rows, cols)), shape=(dim, dim))
+    for i in range(n):
+        j = (i + 1) % n
+        a, b = states[:, i], states[:, j]
+        unlike = np.flatnonzero(a != b)
+        diag += a == b
+        delta = b[unlike].astype(np.int64) - a[unlike]
+        row = np.searchsorted(codes, codes[unlike] + delta * (place[i] - place[j]))
+        rows.append(row)
+        cols.append(unlike)
+        vals.append(np.ones(len(unlike)) if signs is None else signs[unlike] * signs[row])
+    occupied = np.flatnonzero(diag)
+    rows.append(occupied)
+    cols.append(occupied)
+    vals.append(diag[occupied])
+    return sp.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(dim, dim),
+    )
 
 
 @dataclass
@@ -71,16 +91,28 @@ class GroundStateSolution:
     emax: float
     amplitudes: np.ndarray  # normalized, over the lex basis
     basis: list[SpinConfig] = field(repr=False)
+    states: np.ndarray = field(repr=False)  # the basis as an (S, N) uint8 label array
     gauge: bool
     residual: float
     solver: str
+    signs: np.ndarray | None = field(default=None, repr=False)  # Marshall signs if gauged
+
+    @cached_property
+    def codes(self) -> np.ndarray:
+        """Sorted base-M codes of the basis states."""
+        return state_codes(self.states, self.m)
 
     def physical_amplitudes(self) -> np.ndarray:
         """Amplitudes with the Marshall gauge removed (sign per basis state)."""
         if not self.gauge:
             return self.amplitudes
-        signs = np.array([marshall_sign(s) for s in self.basis], dtype=float)
-        return self.amplitudes * signs
+        return self.amplitudes * self.signs
+
+
+def _check_residual(what: str, residual: float, scale: float) -> None:
+    limit = RESIDUAL_TOL * max(1.0, abs(scale))
+    if not residual <= limit:
+        raise ResidualError(f"{what} residual {residual:.3e} exceeds {limit:.3e}")
 
 
 def ground_state(
@@ -88,12 +120,17 @@ def ground_state(
 ) -> GroundStateSolution:
     """Lowest eigenpair of the sector Hamiltonian, plus E_max.
 
-    Dense symmetric solver below ``dense_cap`` states, restarted Lanczos
-    (ARPACK) above it; both certify the residual.
+    Dense symmetric solver up to ``dense_cap`` states, restarted Lanczos
+    (ARPACK) above it.  Lanczos takes E_max = N without a second solve:
+    ||sum_i P_i|| <= N, and the fully symmetric state (the sign vector when
+    gauged) has eigenvalue N, which one matvec certifies.  Both residuals
+    are checked and a failure raises :class:`ResidualError`.
     """
     basis = enumerate_basis(n, m)
-    h = build_hamiltonian(basis, gauge=gauge)
-    dim = len(basis)
+    states = as_states(basis)
+    h = build_hamiltonian(states, gauge=gauge)
+    signs = marshall_signs(states) if gauge else None
+    dim = len(states)
     if dim <= dense_cap:
         evals, evecs = np.linalg.eigh(h.toarray())
         e0, e1, emax = float(evals[0]), float(evals[1]), float(evals[-1])
@@ -104,7 +141,10 @@ def ground_state(
         order = np.argsort(evals)
         e0, e1 = float(evals[order[0]]), float(evals[order[1]])
         vec = evecs[:, order[0]]
-        emax = float(spla.eigsh(h, k=1, which="LA", tol=0, return_eigenvectors=False)[0])
+        emax = float(n)
+        sym = np.ones(dim) if signs is None else signs  # norm sqrt(dim)
+        sym_residual = float(np.linalg.norm(h @ sym - emax * sym)) / np.sqrt(dim)
+        _check_residual("E_max = N", sym_residual, emax)
         solver = "lanczos"
     if m == 2 and n % 2 == 0 and e1 - e0 < DEGENERACY_TOL:
         raise DegenerateGroundStateError(
@@ -115,9 +155,10 @@ def ground_state(
     if vec.sum() < 0:
         vec = -vec
     residual = float(np.linalg.norm(h @ vec - e0 * vec))
+    _check_residual("ground-state", residual, e0)
     return GroundStateSolution(
-        n=n, m=m, e0=e0, emax=emax, amplitudes=vec, basis=basis,
-        gauge=gauge, residual=residual, solver=solver,
+        n=n, m=m, e0=e0, emax=emax, amplitudes=vec, basis=basis, states=states,
+        gauge=gauge, residual=residual, solver=solver, signs=signs,
     )
 
 
@@ -132,19 +173,19 @@ class ReducedDensityMatrix:
 
 def reduced_density_matrix(gs: GroundStateSolution, k: int) -> ReducedDensityMatrix:
     """Trace out sites k..N-1 of |psi><psi|.  Built from the physical (ungauged)
-    amplitudes; the diagonal is gauge-independent either way."""
+    amplitudes; the diagonal is gauge-independent either way.
+
+    Each code splits into a system part (sites 0..k-1) and an environment
+    part; with A[system, environment] = psi, rho = A A^T.
+    """
     if k > gs.n:
         raise ValueError(f"K={k} exceeds N={gs.n}")
-    amps = gs.physical_amplitudes()
+    system, env = np.divmod(gs.codes, gs.m ** (gs.n - k))
+    _, env_ids = np.unique(env, return_inverse=True)
     dim = gs.m**k
-    env_map: dict[tuple[int, ...], list[tuple[int, float]]] = {}
-    for s, a in zip(gs.basis, amps):
-        env_map.setdefault(s[k:], []).append((motif_index(s[:k], gs.m), float(a)))
-    rho = np.zeros((dim, dim))
-    for entries in env_map.values():
-        idx = np.array([e[0] for e in entries])
-        vec = np.array([e[1] for e in entries])
-        rho[np.ix_(idx, idx)] += np.outer(vec, vec)
+    a = sp.csr_matrix((gs.physical_amplitudes(), (system, env_ids)),
+                      shape=(dim, int(env_ids.max()) + 1))
+    rho = (a @ a.T).toarray()
     return ReducedDensityMatrix(rho=rho, k=k, m=gs.m)
 
 
@@ -191,7 +232,7 @@ def entanglement_hamiltonian(k: int, m: int = 2) -> np.ndarray:
             if s[i] == s[i + 1]:
                 h[col, col] += coef
             else:
-                t = _swap(s, i, i + 1)
+                t = s[:i] + (s[i + 1], s[i]) + s[i + 2:]
                 h[motif_index(t, m), col] += coef
     return h
 
@@ -243,7 +284,7 @@ def calibrate_beta(
     grid = np.geomspace(lo, hi, 64)
     vals = np.array([objective(b) for b in grid])
     if vals.max() - vals.min() < 1e-14:
-        raise RuntimeError("flat calibration objective on the bracket")
+        raise NumericalCheckError("flat calibration objective on the bracket")
     best = int(vals.argmin())
     a = grid[max(best - 1, 0)]
     b = grid[min(best + 1, len(grid) - 1)]
@@ -257,9 +298,10 @@ def cumulative_class_mass(
 ) -> int:
     """Number of equivalence classes (by descending psi^2 mass) needed to reach
     the threshold of the total probability."""
-    probs = gs.amplitudes**2
-    class_ids = np.array([partition.class_of[s] for s in gs.basis])
-    masses = np.bincount(class_ids, weights=probs, minlength=len(partition))
+    if len(partition.class_ids) != len(gs.amplitudes):
+        raise ValueError("partition is not over the ground state's basis")
+    masses = np.bincount(partition.class_ids, weights=gs.amplitudes**2,
+                         minlength=len(partition))
     if threshold >= 1.0:
         return int(np.sum(masses > 0))
     order = np.sort(masses)[::-1]
@@ -269,4 +311,4 @@ def cumulative_class_mass(
 
 def gap_estimate(gs: GroundStateSolution) -> float:
     """(E_max - E_0) / basis size, the cheap gap proxy used for error scaling."""
-    return (gs.emax - gs.e0) / len(gs.basis)
+    return (gs.emax - gs.e0) / len(gs.amplitudes)

@@ -1,17 +1,21 @@
 """Zero-magnetization spin-chain basis, symmetry group, and equivalence classes.
 
 States are tuples of species labels in ``{0..M-1}`` with each label appearing
-exactly ``N/M`` times.  The symmetry group is generated by cyclic translations,
-reflections about any pivot, and permutations of the species labels.
+exactly ``N/M`` times; whole bases are also kept as lex-sorted ``(S, N)`` uint8
+label arrays with base-M integer codes.  The symmetry group is generated by
+cyclic translations, reflections about any pivot, and permutations of the
+species labels.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import permutations
+from functools import cached_property
+from itertools import chain, permutations
 from math import factorial
-from typing import Iterator
+
+import numpy as np
 
 SpinConfig = tuple[int, ...]
 
@@ -41,30 +45,59 @@ def _validate_sizes(n: int, m: int) -> None:
         raise ValueError(f"N={n} not divisible by M={m}")
 
 
-def _gen_balanced(counts: list[int], prefix: list[int], out: list[SpinConfig]) -> None:
-    if not any(counts):
-        out.append(tuple(prefix))
-        return
-    for label, c in enumerate(counts):
-        if c > 0:
-            counts[label] -= 1
-            prefix.append(label)
-            _gen_balanced(counts, prefix, out)
-            prefix.pop()
-            counts[label] += 1
+def sector_states(n: int, m: int, cap: int = DEFAULT_BASIS_CAP) -> np.ndarray:
+    """All zero-magnetization states as a lex-sorted ``(S, n)`` uint8 label array.
 
-
-def enumerate_basis(n: int, m: int, cap: int = DEFAULT_BASIS_CAP) -> list[SpinConfig]:
-    """All zero-magnetization states of n sites and m species, lexicographic.
-
+    Built one site at a time: every valid prefix is extended by each label it
+    still has room for.  ``np.nonzero`` lists the (prefix, label) pairs in
+    row-major order, so children of lex-ordered prefixes stay lex-ordered.
     Raises :class:`BasisTooLargeError` when the basis would exceed ``cap``.
     """
     size = basis_size(n, m)
     if size > cap:
         raise BasisTooLargeError(f"basis for N={n}, M={m} has {size} states > cap {cap}")
-    out: list[SpinConfig] = []
-    _gen_balanced([n // m] * m, [], out)
-    return out
+    remaining = np.full((1, m), n // m, dtype=np.int16)  # labels left per prefix
+    steps = []  # per site: (parent prefix index, label) of every child prefix
+    for _ in range(n):
+        parent, label = np.nonzero(remaining)
+        remaining = remaining[parent]
+        remaining[np.arange(len(parent)), label] -= 1
+        steps.append((parent, label))
+    states = np.empty((size, n), dtype=np.uint8)
+    idx = np.arange(size)
+    for site in range(n - 1, -1, -1):
+        parent, label = steps[site]
+        states[:, site] = label[idx]
+        idx = parent[idx]
+    return states
+
+
+def enumerate_basis(n: int, m: int, cap: int = DEFAULT_BASIS_CAP) -> list[SpinConfig]:
+    """All zero-magnetization states of n sites and m species as tuples,
+    lexicographic.  Raises :class:`BasisTooLargeError` when the basis would
+    exceed ``cap``.
+    """
+    return list(zip(*sector_states(n, m, cap).T.tolist()))
+
+
+def as_states(basis: list[SpinConfig] | np.ndarray) -> np.ndarray:
+    """A basis (tuples or a label array) as a ``(S, N)`` uint8 label array."""
+    if isinstance(basis, np.ndarray):
+        return basis.astype(np.uint8, copy=False)
+    flat = bytes(chain.from_iterable(basis))  # one pass, no per-tuple arrays
+    return np.frombuffer(flat, dtype=np.uint8).reshape(len(basis), -1)
+
+
+def state_codes(states: np.ndarray, m: int) -> np.ndarray:
+    """Base-m int64 code of each row, site 0 most significant, so code order
+    is lexicographic order and a sorted basis has sorted codes."""
+    if float(m) ** states.shape[1] >= 2.0**63:
+        raise BasisTooLargeError(f"{m}**{states.shape[1]} codes overflow int64")
+    codes = np.zeros(len(states), dtype=np.int64)
+    for column in states.T:
+        codes *= m
+        codes += column
+    return codes
 
 
 # ---------------------------------------------------------------------------
@@ -146,34 +179,65 @@ def orbit(s: SpinConfig, m: int) -> set[SpinConfig]:
 
 @dataclass
 class EquivalenceClassPartition:
-    """Orbit partition of the basis; classes ordered by their lex-min representative."""
+    """Orbit partition of the basis; classes ordered by their lex-min representative.
 
-    classes: list[tuple[SpinConfig, ...]]
-    class_of: dict[SpinConfig, int]
+    ``class_ids[i]`` is the class of basis state ``i``; the tuple views
+    ``classes`` and ``class_of`` are built on first use.
+    """
+
+    states: np.ndarray = field(repr=False)  # (S, N) uint8, the partitioned basis
+    class_ids: np.ndarray  # (S,) class index per basis state
+    n_classes: int
+
+    @cached_property
+    def classes(self) -> list[tuple[SpinConfig, ...]]:
+        order = np.argsort(self.class_ids, kind="stable")
+        bounds = np.cumsum(np.bincount(self.class_ids, minlength=self.n_classes))[:-1]
+        members = np.split(self.states[order], bounds)
+        return [tuple(map(tuple, cls.tolist())) for cls in members]
+
+    @cached_property
+    def class_of(self) -> dict[SpinConfig, int]:
+        return dict(zip(map(tuple, self.states.tolist()), self.class_ids.tolist()))
 
     @property
     def representatives(self) -> list[SpinConfig]:
         return [cls[0] for cls in self.classes]
 
     def __len__(self) -> int:
-        return len(self.classes)
+        return self.n_classes
 
 
-def partition_classes(basis: list[SpinConfig], m: int) -> EquivalenceClassPartition:
-    """Partition the basis into orbits under translations, reflections and
-    relabelings.  Representatives are the lexicographically smallest members.
+def canonical_codes(states: np.ndarray, m: int) -> np.ndarray:
+    """Smallest code in each state's orbit: the minimum over relabelings,
+    {identity, reflection} and the N cyclic rotations."""
+    n = states.shape[1]
+    wrap = m**n - 1  # rotating code c with lead digit d gives c*m - d*(m**n - 1)
+    best = np.full(len(states), np.iinfo(np.int64).max)
+    sites = np.ascontiguousarray(states.T)  # (N, S): one contiguous row per site
+    for perm in permutations(range(m)):
+        relabeled = np.asarray(perm, dtype=np.uint8)[sites]
+        for oriented in (relabeled, relabeled[::-1]):
+            code = state_codes(oriented.T, m)
+            for lead in oriented:
+                np.minimum(best, code, out=best)
+                code *= m
+                code -= lead.astype(np.int64) * wrap
+    return best
+
+
+def partition_classes(
+    basis: list[SpinConfig] | np.ndarray, m: int
+) -> EquivalenceClassPartition:
+    """Partition a lex-sorted basis into orbits under translations,
+    reflections and relabelings.  Representatives are the lexicographically
+    smallest members, and a class's canonical code is its representative's
+    code, so sorting the distinct canonical codes orders the classes by
+    representative.
     """
-    classes: list[tuple[SpinConfig, ...]] = []
-    class_of: dict[SpinConfig, int] = {}
-    for s in basis:  # basis is lex sorted, so reps come out lex-minimal
-        if s in class_of:
-            continue
-        members = tuple(sorted(orbit(s, m)))
-        idx = len(classes)
-        classes.append(members)
-        for t in members:
-            class_of[t] = idx
-    return EquivalenceClassPartition(classes, class_of)
+    states = as_states(basis)
+    reps, class_ids = np.unique(canonical_codes(states, m), return_inverse=True)
+    return EquivalenceClassPartition(states, class_ids, len(reps))
 
 
 def class_count_lower_bound(n: int, m: int) -> Fraction:
@@ -194,9 +258,9 @@ def marshall_sign(s: SpinConfig) -> int:
     return -1 if downs_on_even % 2 else 1
 
 
-def all_relabelings(m: int) -> list[Relabel]:
-    return [Relabel(p) for p in permutations(range(m))]
-
-
-def translations(n: int) -> Iterator[Translate]:
-    return (Translate(k) for k in range(n))
+def marshall_signs(states: np.ndarray) -> np.ndarray:
+    """:func:`marshall_sign` of every row of a ``(S, N)`` M=2 label array, as floats."""
+    if states.size and states.max() > 1:
+        raise ValueError("Marshall gauge is only defined for M=2")
+    downs_on_even = states[:, ::2].sum(axis=1, dtype=np.int64)
+    return 1.0 - 2.0 * (downs_on_even % 2)

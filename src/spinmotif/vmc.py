@@ -20,7 +20,7 @@ from .ansatz import (
     project_grandsum,
     unpack_gradient,
 )
-from .spinchain import SpinConfig, marshall_sign
+from .spinchain import SpinConfig
 
 ALGORITHMS = ("original", "symforce-init", "symforce-traj")
 
@@ -74,12 +74,6 @@ class TrainingTrajectory:
 def _n_like(s: SpinConfig) -> int:
     n = len(s)
     return sum(1 for i in range(n) if s[i] == s[(i + 1) % n])
-
-
-def local_energy(p: CnnParams, s: SpinConfig) -> float:
-    """E_loc(s) for the Marshall-gauged exchange chain (M=2):
-    n_like minus the sum over unlike cyclic bonds of psi(swap s)/psi(s)."""
-    return float(local_energies(p, np.asarray([s], dtype=np.intp))[0])
 
 
 def local_energies(p: CnnParams, states: np.ndarray) -> np.ndarray:

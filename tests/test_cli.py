@@ -5,6 +5,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from spinmotif import exact
 from spinmotif.cli import main
 
 
@@ -105,6 +106,43 @@ def test_train_and_regress_pipeline(runner, tmp_path):
     table = (gdir / "feature_regression.csv").read_text().strip().splitlines()
     assert table[0] == "variable,coefficient,std_error,stars"
     assert len(table) == 5
+    for line in table[1:]:
+        _, coefficient, std_error, _ = line.split(",")
+        float(coefficient), float(std_error)
+
+
+@pytest.mark.parametrize("args", [
+    ["exact", "-n", "8", "-k", "3"],
+    ["mev", "-n", "8", "-k", "3"],
+    ["cft", "-k", "3", "--calibrate-n", "8"],
+    ["train", "-n", "6", "-k", "2", "--max-iter", "2", "--n-samples", "50"],
+])
+def test_failed_residual_is_numerical_error(runner, tmp_path, monkeypatch, args):
+    monkeypatch.setattr(exact, "RESIDUAL_TOL", 0.0)
+    out = tmp_path / "r"
+    result = runner.invoke(main, args + ["--out", str(out)])
+    assert result.exit_code == 3, result.output
+    assert json.loads((out / "error.json").read_text())["error"] == "numerical"
+
+
+def test_cft_calibration_size_is_config_error(runner, tmp_path):
+    result = runner.invoke(main, ["cft", "-k", "3", "--calibrate-n", "7",
+                                  "--out", str(tmp_path / "c")])
+    assert result.exit_code == 2, result.output
+
+
+def test_cft_calibration_failures_are_numerical_errors(runner, tmp_path, monkeypatch):
+    # K=1 windows have no bonds, so the calibration objective is flat in beta
+    out = tmp_path / "flat"
+    result = runner.invoke(main, ["cft", "-k", "1", "--calibrate-n", "8", "--out", str(out)])
+    assert result.exit_code == 3, result.output
+    assert "flat" in json.loads((out / "error.json").read_text())["message"]
+
+    monkeypatch.setattr(exact, "DEGENERACY_TOL", 1e3)
+    out = tmp_path / "degenerate"
+    result = runner.invoke(main, ["cft", "-k", "3", "--calibrate-n", "8", "--out", str(out)])
+    assert result.exit_code == 3, result.output
+    assert "gap" in json.loads((out / "error.json").read_text())["message"]
 
 
 def test_regress_with_nothing_is_config_error(runner, tmp_path):

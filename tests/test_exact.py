@@ -2,8 +2,12 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+from spinmotif import exact
 from spinmotif.exact import (
+    NumericalCheckError,
+    ResidualError,
     build_hamiltonian,
     calibrate_beta,
     cft_mev,
@@ -18,7 +22,7 @@ from spinmotif.exact import (
     truncation_size,
 )
 from spinmotif.motif import all_motifs, conjugate, motif_index, motif_vector
-from spinmotif.spinchain import enumerate_basis, partition_classes
+from spinmotif.spinchain import enumerate_basis, marshall_sign, partition_classes
 
 
 def heisenberg_e0(n):
@@ -66,8 +70,99 @@ def test_gauge_invariance_of_spectrum():
     assert min(np.abs(a - b).max(), np.abs(a + b).max()) < 1e-9
 
 
+def reference_hamiltonian(basis, gauge=False):
+    """Tuple-loop build: one swap per unlike bond, looked up in a dict index."""
+    n = len(basis[0])
+    index = {s: i for i, s in enumerate(basis)}
+    signs = [marshall_sign(s) for s in basis] if gauge else None
+    rows, cols, vals = [], [], []
+    for col, s in enumerate(basis):
+        diag = 0.0
+        for i in range(n):
+            j = (i + 1) % n
+            if s[i] == s[j]:
+                diag += 1.0
+            else:
+                t = list(s)
+                t[i], t[j] = t[j], t[i]
+                row = index[tuple(t)]
+                amp = 1.0
+                if signs is not None:
+                    amp *= signs[col] * signs[row]
+                rows.append(row)
+                cols.append(col)
+                vals.append(amp)
+        if diag:
+            rows.append(col)
+            cols.append(col)
+            vals.append(diag)
+    dim = len(basis)
+    return sp.csr_matrix((vals, (rows, cols)), shape=(dim, dim))
+
+
+def reference_rdm(gs, k):
+    """Env-map build: group amplitudes by the environment string."""
+    amps = gs.physical_amplitudes()
+    env_map = {}
+    for s, a in zip(gs.basis, amps):
+        env_map.setdefault(s[k:], []).append((motif_index(s[:k], gs.m), float(a)))
+    rho = np.zeros((gs.m**k, gs.m**k))
+    for entries in env_map.values():
+        idx = np.array([e[0] for e in entries])
+        vec = np.array([e[1] for e in entries])
+        rho[np.ix_(idx, idx)] += np.outer(vec, vec)
+    return rho
+
+
+@pytest.mark.parametrize("n,m,gauge", [
+    (n, m, gauge) for m in (2, 3) for n in range(2, 11) if n % m == 0 and n >= m
+    for gauge in ((False, True) if m == 2 else (False,))
+])
+def test_hamiltonian_matches_tuple_reference(n, m, gauge):
+    basis = enumerate_basis(n, m)
+    h = build_hamiltonian(basis, gauge=gauge)
+    ref = reference_hamiltonian(basis, gauge=gauge)
+    assert h.nnz == ref.nnz
+    assert np.array_equal(h.toarray(), ref.toarray())
+
+
+@pytest.mark.parametrize("n,m,gauge", [(8, 2, True), (8, 2, False), (6, 3, False)])
+def test_rdm_matches_env_map_reference(n, m, gauge):
+    gs = ground_state(n, m, gauge=gauge)
+    for k in (1, 2, 3, 4):
+        rho = reduced_density_matrix(gs, k).rho
+        assert np.abs(rho - reference_rdm(gs, k)).max() < 1e-14
+
+
+@pytest.mark.parametrize("n,m,gauge", [
+    (8, 2, True), (8, 2, False), (10, 2, True), (10, 2, False),
+    (12, 2, True), (12, 2, False), (9, 3, False),
+])
+def test_certified_emax_equals_dense_top_eigenvalue(n, m, gauge):
+    gs = ground_state(n, m, gauge=gauge, dense_cap=0)
+    assert gs.solver == "lanczos"
+    top = np.linalg.eigvalsh(build_hamiltonian(gs.states, gauge=gauge).toarray())[-1]
+    assert gs.emax == pytest.approx(top, abs=1e-10)
+
+
+@pytest.mark.parametrize("dense_cap", [0, 10**6])
+def test_residual_above_tolerance_raises(monkeypatch, dense_cap):
+    monkeypatch.setattr(exact, "RESIDUAL_TOL", 0.0)
+    with pytest.raises(ResidualError):
+        ground_state(8, 2, gauge=True, dense_cap=dense_cap)
+    assert issubclass(ResidualError, RuntimeError)
+
+
+def test_emax_certificate_is_checked(monkeypatch):
+    # the E_max residual is exactly 0, so only a negative tolerance fails it
+    monkeypatch.setattr(exact, "RESIDUAL_TOL", -1.0)
+    with pytest.raises(ResidualError, match="E_max"):
+        ground_state(8, 2, gauge=True, dense_cap=0)
+
+
 def test_lanczos_path_matches_dense():
-    dense = ground_state(10, 2, gauge=True)
+    dense = ground_state(10, 2, gauge=True, dense_cap=10**6)
+    assert dense.solver == "dense"
     lanczos = ground_state(10, 2, gauge=True, dense_cap=10)
     assert lanczos.solver == "lanczos"
     assert lanczos.e0 == pytest.approx(dense.e0, abs=1e-10)
@@ -150,6 +245,12 @@ def test_thermal_weights_normalized():
     w = cft_thermal_weights(4, 2.0)
     assert w.sum() == pytest.approx(1.0, abs=1e-12)
     assert (w > 0).all()
+
+
+def test_calibrate_beta_flat_objective_is_numerical_error():
+    # a single-site window has no bonds, so the thermal MEVs ignore beta
+    with pytest.raises(NumericalCheckError):
+        calibrate_beta(1, {(0,): 0.5, (1,): 0.5})
 
 
 def test_calibrate_beta_recovers_planted_value():

@@ -2,7 +2,9 @@
 
 import math
 from fractions import Fraction
+from itertools import permutations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -18,8 +20,10 @@ from spinmotif.spinchain import (
     group_generators,
     inverse,
     marshall_sign,
+    marshall_signs,
     orbit,
     partition_classes,
+    sector_states,
 )
 
 SIZES = st.sampled_from([(4, 2), (6, 2), (8, 2), (6, 3), (9, 3), (8, 4)])
@@ -111,6 +115,43 @@ def test_partition_is_a_partition(size):
     assert reps == sorted(reps)
 
 
+def reference_classes(basis, m):
+    """Orbit-BFS partition: classes in order of first (lex-least) member."""
+    classes, seen = [], set()
+    for s in basis:
+        if s not in seen:
+            members = tuple(sorted(orbit(s, m)))
+            seen.update(members)
+            classes.append(members)
+    return classes
+
+
+@pytest.mark.parametrize("n,m", [(2, 2), (4, 2), (6, 2), (8, 2), (10, 2), (12, 2),
+                                 (3, 3), (6, 3), (9, 3), (4, 4), (8, 4)])
+def test_partition_matches_orbit_reference(n, m):
+    basis = enumerate_basis(n, m)
+    part = partition_classes(basis, m)
+    assert part.classes == reference_classes(basis, m)
+    assert len(part) == len(part.classes)
+    for idx, cls in enumerate(part.classes):
+        for s in cls:
+            assert part.class_of[s] == idx
+    assert part.class_ids.tolist() == [part.class_of[s] for s in basis]
+    # the label array gives the same partition as the tuple list
+    assert np.array_equal(partition_classes(sector_states(n, m), m).class_ids,
+                          part.class_ids)
+
+
+def test_sector_states_match_permutation_reference():
+    for n, m in [(2, 2), (8, 2), (6, 3), (8, 4)]:
+        states = sector_states(n, m)
+        assert states.dtype == np.uint8
+        labels = tuple(label for label in range(m) for _ in range(n // m))
+        reference = sorted(set(permutations(labels)))
+        assert [tuple(r) for r in states.tolist()] == reference
+        assert enumerate_basis(n, m) == reference
+
+
 def test_known_class_counts():
     # N=8, M=2: seven orbits of the 70-state sector
     basis = enumerate_basis(8, 2)
@@ -134,6 +175,13 @@ def test_marshall_sign_values():
     assert marshall_sign((1, 0, 0, 1)) == -1
     with pytest.raises(ValueError):
         marshall_sign((0, 1, 2))
+
+
+def test_marshall_signs_match_scalar():
+    basis = enumerate_basis(10, 2)
+    assert marshall_signs(sector_states(10, 2)).tolist() == [marshall_sign(s) for s in basis]
+    with pytest.raises(ValueError):
+        marshall_signs(sector_states(6, 3))
 
 
 @given(st.sampled_from(enumerate_basis(8, 2)))
