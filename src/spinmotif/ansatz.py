@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .motif import Motif, all_motifs, independent_operator_set, motif_index
+from .motif import Motif, all_motifs, independent_operator_set, motif_count_rows
 from .spinchain import SpinConfig
 
 
@@ -110,11 +110,10 @@ class MaxEntParams:
         return len(self.motifs[0])
 
 
-def maxent_logpsi(mp: MaxEntParams, counts: np.ndarray, m: int = 2) -> float:
-    """ln psi = sum over the independent set of lambda * count, minus ln Z."""
-    counts = np.asarray(counts)
-    sel = counts[[motif_index(mo, m) for mo in mp.motifs]]
-    return float(np.dot(mp.lam, sel) - mp.ln_z)
+def maxent_logpsi(mp: MaxEntParams, basis: list[SpinConfig], m: int = 2) -> np.ndarray:
+    """ln psi of each basis state: sum over the independent set of
+    lambda * count, minus ln Z."""
+    return mp.lam @ motif_count_rows(basis, mp.motifs, m) - mp.ln_z
 
 
 def grandsum(p: CnnParams) -> float:
@@ -204,16 +203,13 @@ def fit_maxent(
     convex dual; the step solves the Hessian system by least squares so the
     rank-deficient K ~ N limit still converges on the residual.
     """
-    from .motif import motif_vector
-
     n = len(basis[0])
     ops = independent_operator_set(k, m)
     missing = [mo for mo in ops if mo not in targets]
     if missing:
         raise ValueError(f"targets missing independent motifs: {missing[:3]}...")
     t_counts = np.array([targets[mo] for mo in ops]) * n  # count convention
-    idx = [motif_index(mo, m) for mo in ops]
-    c_mat = np.stack([motif_vector(s, k, m)[idx] for s in basis]).astype(float)
+    c_mat = motif_count_rows(basis, ops, m).T.astype(float, order="C")
 
     lam = np.zeros(len(ops))
     residual = np.inf
@@ -255,10 +251,6 @@ def fit_maxent(
 
 def maxent_state_probs(mp: MaxEntParams, basis: list[SpinConfig], m: int = 2) -> np.ndarray:
     """Normalized P(s) = psi^2 over the basis for a fitted model."""
-    from .motif import motif_vector
-
-    logpsi = np.array(
-        [maxent_logpsi(mp, motif_vector(s, mp.k, m), m) for s in basis]
-    )
+    logpsi = maxent_logpsi(mp, basis, m)
     w = np.exp(2.0 * (logpsi - logpsi.max()))
     return w / w.sum()

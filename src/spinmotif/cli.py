@@ -208,17 +208,15 @@ def exact_cmd(sites, species, kernel, config, out, seed):
         "trace_check": 1.0,
         "class_count_99": exact.cumulative_class_mass(gs, part, 0.99),
     }, indent=2) + "\n")
-    mev = exact.exact_mev(gs, k)
+    trunc_ks = range(1, min(k, n // 2) + 1)
+    rdms = {kk: exact.reduced_density_matrix(gs, kk) for kk in sorted({*trunc_ks, k})}
+    mev = exact.rdm_mev(rdms[k])
     _write_csv(out_dir / "mev.csv", ["motif", "probability", "count"],
                [[_state_str(mo), f"{v!r}", f"{v * n!r}"] for mo, v in mev.items()])
-    rdm = exact.reduced_density_matrix(gs, k)
-    spectrum = exact.entanglement_spectrum(rdm)
+    spectra = {kk: exact.entanglement_spectrum(rdm) for kk, rdm in rdms.items()}
     _atomic_write(out_dir / "spectrum.json",
-                  json.dumps({"K": k, "epsilon": list(spectrum)}, indent=2) + "\n")
-    rows = []
-    for kk in range(1, min(k, n // 2) + 1):
-        spec_k = exact.entanglement_spectrum(exact.reduced_density_matrix(gs, kk))
-        rows.append([kk, exact.truncation_size(np.exp(-spec_k), 0.99)])
+                  json.dumps({"K": k, "epsilon": list(spectra[k])}, indent=2) + "\n")
+    rows = [[kk, exact.truncation_size(np.exp(-spectra[kk]), 0.99)] for kk in trunc_ks]
     _write_csv(out_dir / "truncation.csv", ["K", "count_99"], rows)
     click.echo(f"E0 = {gs.e0:.10f} -> {out_dir}")
 

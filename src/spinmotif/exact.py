@@ -8,7 +8,7 @@ spectra, motif expectation values (MEVs), and the CFT thermal approximation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -189,14 +189,16 @@ def reduced_density_matrix(gs: GroundStateSolution, k: int) -> ReducedDensityMat
     return ReducedDensityMatrix(rho=rho, k=k, m=gs.m)
 
 
+def rdm_mev(rdm: ReducedDensityMatrix, scale: float = 1.0) -> dict[Motif, float]:
+    """Diagonal of rho_K per motif (lexicographic order), times ``scale``."""
+    diag = np.diag(rdm.rho).tolist()
+    return {mo: p * scale for mo, p in zip(all_motifs(rdm.m, rdm.k), diag)}
+
+
 def exact_mev(gs: GroundStateSolution, k: int, counts: bool = False) -> dict[Motif, float]:
     """Diagonal of rho_K per motif.  Probability convention by default; the
     count convention multiplies by N."""
-    rdm = reduced_density_matrix(gs, k)
-    diag = np.diag(rdm.rho)
-    scale = gs.n if counts else 1.0
-    return {mo: float(diag[motif_index(mo, gs.m)]) * scale
-            for mo in all_motifs(gs.m, k)}
+    return rdm_mev(reduced_density_matrix(gs, k), gs.n if counts else 1.0)
 
 
 def entanglement_spectrum(rho: np.ndarray | ReducedDensityMatrix,
@@ -237,12 +239,20 @@ def entanglement_hamiltonian(k: int, m: int = 2) -> np.ndarray:
     return h
 
 
+@lru_cache(maxsize=None)
+def _entanglement_eigh(k: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (evals, evecs) of H_K, computed once per (K, M)."""
+    evals, evecs = np.linalg.eigh(entanglement_hamiltonian(k, m))
+    evals.flags.writeable = False
+    evecs.flags.writeable = False
+    return evals, evecs
+
+
 def cft_mev(k: int, beta: float, m: int = 2) -> dict[Motif, float]:
     """Diagonal of exp(-beta * H_K)/Z in the product basis."""
     if beta <= 0:
         raise ValueError(f"beta must be positive, got {beta}")
-    h = entanglement_hamiltonian(k, m)
-    evals, evecs = np.linalg.eigh(h)
+    evals, evecs = _entanglement_eigh(k, m)
     w = np.exp(-beta * (evals - evals.min()))
     z = w.sum()
     diag = (evecs**2 @ w) / z
@@ -250,8 +260,7 @@ def cft_mev(k: int, beta: float, m: int = 2) -> dict[Motif, float]:
 
 
 def cft_thermal_weights(k: int, beta: float, m: int = 2) -> np.ndarray:
-    h = entanglement_hamiltonian(k, m)
-    evals = np.linalg.eigvalsh(h)
+    evals, _ = _entanglement_eigh(k, m)
     w = np.exp(-beta * (evals - evals.min()))
     return w / w.sum()
 

@@ -7,13 +7,14 @@ allowed only as cross-checks.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
 import numpy as np
 
-from .spinchain import SpinConfig, enumerate_basis, orbit, partition_classes
+from .spinchain import SpinConfig, as_states, enumerate_basis, orbit, partition_classes
 
 Motif = tuple[int, ...]
 
@@ -36,20 +37,43 @@ def conjugate(motif: Motif) -> Motif:
     return tuple(1 - x for x in motif)
 
 
+def _window_counts(
+    states: np.ndarray, k: int, m: int, motif_codes: list[int] | None = None
+) -> np.ndarray:
+    """Cyclic motif counts of each row of an ``(S, N)`` label array, as an
+    ``(m**k, S)`` int64 matrix, or only the rows of the distinct
+    ``motif_codes`` (in that order) when given.
+
+    Window i of a state has the base-m code of sites i..i+k-1 (cyclic), built
+    with k ``np.roll`` steps; one ``np.bincount`` over (row, state) pairs
+    fills every column at once.  Selected rows are found by ``searchsorted``,
+    so no array of m**k entries is built for them.
+    """
+    n_states, n = states.shape
+    if not 1 <= k <= n:
+        raise ValueError(f"need 1 <= K <= N, got K={k}, N={n}")
+    labels = states.astype(np.int64)
+    codes = np.zeros_like(labels)
+    for j in range(k):
+        codes *= m
+        codes += np.roll(labels, -j, axis=1)
+    rows, n_rows = codes, m**k
+    if motif_codes is not None:
+        wanted = np.asarray(motif_codes, dtype=np.int64)
+        order = np.argsort(wanted)
+        slot = order[np.searchsorted(wanted, codes, sorter=order).clip(max=len(wanted) - 1)]
+        rows, n_rows = np.where(wanted[slot] == codes, slot, -1), len(wanted)
+    flat = rows * n_states + np.arange(n_states)[:, None]
+    return np.bincount(flat[rows >= 0], minlength=n_rows * n_states).reshape(n_rows, n_states)
+
+
 def motif_vector(s: SpinConfig, k: int, m: int) -> np.ndarray:
     """Cyclic occurrence counts of every length-k motif in s.
 
     The vector has m**k entries in lexicographic motif order and sums to N
     (one motif per cyclic window).
     """
-    n = len(s)
-    if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= K <= N, got K={k}, N={n}")
-    counts = np.zeros(m**k, dtype=np.int64)
-    ext = s + s[: k - 1]
-    for i in range(n):
-        counts[motif_index(ext[i : i + k], m)] += 1
-    return counts
+    return _window_counts(as_states([s]), k, m)[:, 0]
 
 
 @dataclass
@@ -67,13 +91,25 @@ class MotifCountMatrix:
 
 
 def motif_count_matrix(
-    basis: list[SpinConfig], k: int, m: int, max_entries: int = 200_000_000
+    basis: list[SpinConfig] | np.ndarray, k: int, m: int,
+    max_entries: int = 200_000_000,
 ) -> MotifCountMatrix:
-    n = len(basis[0])
-    if m**k * len(basis) > max_entries:
-        raise MemoryError(f"motif count matrix {m**k} x {len(basis)} exceeds cap")
-    cols = [motif_vector(s, k, m) for s in basis]
-    return MotifCountMatrix(np.stack(cols, axis=1), n=n, m=m, k=k)
+    states = as_states(basis)
+    if m**k * len(states) > max_entries:
+        raise MemoryError(f"motif count matrix {m**k} x {len(states)} exceeds cap")
+    return MotifCountMatrix(_window_counts(states, k, m), n=states.shape[1], m=m, k=k)
+
+
+def motif_count_rows(
+    basis: list[SpinConfig] | np.ndarray, motifs: Sequence[Motif], m: int
+) -> np.ndarray:
+    """The rows of the motif count matrix for the given distinct motifs of one
+    length, as a ``(len(motifs), S)`` int64 array.  The other rows are never
+    built, so memory scales with the S x N window codes, not with m**k."""
+    if not motifs or len({len(mo) for mo in motifs}) > 1 or len(set(motifs)) < len(motifs):
+        raise ValueError("need distinct motifs of one length")
+    codes = [motif_index(mo, m) for mo in motifs]
+    return _window_counts(as_states(basis), len(motifs[0]), m, codes)
 
 
 def _bareiss_rank(rows: list[list[int]]) -> int:
@@ -103,8 +139,17 @@ def _bareiss_rank(rows: list[list[int]]) -> int:
 
 
 def integer_rank(matrix: MotifCountMatrix | np.ndarray) -> int:
-    entries = matrix.entries if isinstance(matrix, MotifCountMatrix) else matrix
-    rows = [[int(x) for x in row] for row in entries]
+    """Exact rank over the rationals of an integer matrix.
+
+    Repeated columns, repeated rows and zero rows do not change the rank, so
+    they are dropped before the elimination: states in one translation orbit
+    share a count vector, which leaves few distinct columns.
+    """
+    entries = np.asarray(matrix.entries if isinstance(matrix, MotifCountMatrix) else matrix)
+    if entries.size == 0:
+        return 0
+    distinct = np.unique(np.unique(entries, axis=1), axis=0)
+    rows = distinct[distinct.any(axis=1)].tolist()
     if not rows:
         return 0
     return _bareiss_rank(rows)
@@ -183,8 +228,7 @@ def class_averaged_counts(cls: tuple[SpinConfig, ...], motif: Motif, m: int) -> 
     """Exact mean motif count over an equivalence class."""
     if not cls:
         raise ValueError("empty equivalence class")
-    k = len(motif)
-    total = sum(int(motif_vector(s, k, m)[motif_index(motif, m)]) for s in cls)
+    total = int(motif_count_rows(cls, [motif], m).sum())
     return Fraction(total, len(cls))
 
 

@@ -2,7 +2,8 @@
 
 Run with ``pytest tests/test_acceptance.py -v`` (add ``-s`` to see the
 CRITERION lines inline).  The end-to-end training criterion (10) dominates the
-runtime at roughly eight minutes; everything else finishes in under a minute.
+runtime at roughly eight minutes and carries the ``slow`` marker, so
+``pytest -m "not slow"`` runs everything else in under a minute.
 """
 
 import sys
@@ -223,6 +224,7 @@ def test_criterion_09_estimator_soundness(gs_cache):
             dev < 1e-10 and pull < 4.0)
 
 
+@pytest.mark.slow
 def test_criterion_10_end_to_end_training(gs_cache):
     e0 = gs_cache[16].e0
     t0 = time.perf_counter()

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from spinmotif.ansatz import (
     CnnParams,
+    MaxEntParams,
     cnn_as_cps,
     cnn_logpsi,
     cnn_logpsi_batch,
@@ -19,6 +20,7 @@ from spinmotif.ansatz import (
     linear_cnn_logpsi,
     logpsi_gradient,
     logpsi_gradient_batch,
+    maxent_logpsi,
     maxent_state_probs,
     project_grandsum,
     unpack_gradient,
@@ -159,6 +161,16 @@ class TestMaxEnt:
         mp = fit_maxent(targets, gs.basis, 6)
         probs = maxent_state_probs(mp, gs.basis)
         assert np.allclose(probs, gs.amplitudes**2, atol=1e-10)
+
+    def test_logpsi_counts_only_the_model_motifs(self):
+        # K = N = 26 is far past the size cap of the full motif count matrix
+        rng = np.random.default_rng(3)
+        basis = [tuple(int(x) for x in rng.permutation([0, 1] * 13)) for _ in range(4)]
+        mp = MaxEntParams(motifs=(basis[0], basis[1][::-1]), lam=np.array([0.5, -1.25]),
+                          ln_z=0.75)
+        counts = [[sum((s + s)[i : i + 26] == mo for i in range(26)) for s in basis]
+                  for mo in mp.motifs]
+        assert np.allclose(maxent_logpsi(mp, basis), mp.lam @ np.array(counts) - mp.ln_z)
 
     def test_missing_targets_rejected(self):
         gs = ground_state(6, 2, gauge=True)

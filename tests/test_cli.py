@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -65,6 +66,33 @@ def test_exact_and_mev(runner, tmp_path):
     assert len(mev_lines) == 9  # header + 8 motifs
     total = sum(float(l.split(",")[1]) for l in mev_lines[1:])
     assert total == pytest.approx(1.0, abs=1e-9)
+
+
+def test_exact_outputs_match_library_with_one_rdm_per_size(runner, tmp_path, monkeypatch):
+    n, k = 10, 4
+    calls, solves = [], []
+    build_rdm, solve = exact.reduced_density_matrix, exact.ground_state
+    monkeypatch.setattr(exact, "reduced_density_matrix",
+                        lambda gs, kk: calls.append(kk) or build_rdm(gs, kk))
+    # Lanczos starts from a random vector, so compare against the CLI's own solve
+    monkeypatch.setattr(exact, "ground_state",
+                        lambda *a, **kw: solves.append(solve(*a, **kw)) or solves[-1])
+    out = tmp_path / "e"
+    result = runner.invoke(main, ["exact", "-n", str(n), "-k", str(k), "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    assert sorted(calls) == [1, 2, 3, 4]
+
+    (gs,) = solves
+    mev = exact.exact_mev(gs, k)
+    assert (out / "mev.csv").read_text() == "motif,probability,count\n" + "".join(
+        f"{''.join(map(str, mo))},{v!r},{v * n!r}\n" for mo, v in mev.items())
+    spectrum = exact.entanglement_spectrum(build_rdm(gs, k))
+    assert (out / "spectrum.json").read_text() == json.dumps(
+        {"K": k, "epsilon": list(spectrum)}, indent=2) + "\n"
+    counts = [exact.truncation_size(np.exp(-exact.entanglement_spectrum(build_rdm(gs, kk))),
+                                    0.99) for kk in range(1, k + 1)]
+    assert (out / "truncation.csv").read_text() == "K,count_99\n" + "".join(
+        f"{kk},{c}\n" for kk, c in enumerate(counts, start=1))
 
 
 def test_cft_requires_beta_source(runner, tmp_path):

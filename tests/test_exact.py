@@ -254,9 +254,15 @@ def test_calibrate_beta_flat_objective_is_numerical_error():
 
 
 def test_calibrate_beta_recovers_planted_value():
-    target = cft_mev(3, 1.3)
-    beta = calibrate_beta(3, target)
-    assert beta == pytest.approx(1.3, abs=1e-6)
+    for k in (3, 4, 6):
+        target = cft_mev(k, 1.3)
+        beta = calibrate_beta(k, target)
+        assert beta == pytest.approx(1.3, abs=1e-6)
+        # the thermal MEVs and weights share one cached H_K eigendecomposition
+        evals, evecs = exact._entanglement_eigh(k, 2)
+        assert not evals.flags.writeable and not evecs.flags.writeable
+        w = np.exp(-2.0 * (evals - evals.min()))
+        assert np.array_equal(cft_thermal_weights(k, 2.0), w / w.sum())
 
 
 def test_cumulative_class_mass_bounds():

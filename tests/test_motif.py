@@ -1,10 +1,13 @@
 """Motif counting, exact rank, ambiguity construction, operator selection."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from spinmotif.motif import (
+    _bareiss_rank,
     all_motifs,
     ambiguous_pair,
     class_averaged_counts,
@@ -14,11 +17,24 @@ from spinmotif.motif import (
     independent_operator_set,
     integer_rank,
     motif_count_matrix,
+    motif_count_rows,
     motif_index,
     motif_symmetry_classes,
     motif_vector,
 )
 from spinmotif.spinchain import enumerate_basis, orbit, partition_classes
+
+
+def reference_count_matrix(basis, k, m):
+    """The per-state, per-window counting loop the vectorized counter replaced."""
+    cols = []
+    for s in basis:
+        counts = np.zeros(m**k, dtype=np.int64)
+        ext = s + s[: k - 1]
+        for i in range(len(s)):
+            counts[motif_index(ext[i : i + k], m)] += 1
+        cols.append(counts)
+    return np.stack(cols, axis=1)
 
 
 def test_motif_ordering_and_index():
@@ -55,10 +71,75 @@ def test_conjugate():
         conjugate((0, 2))
 
 
+@pytest.mark.parametrize("n,m", [(2, 2), (4, 2), (6, 2), (8, 2), (10, 2), (3, 3), (6, 3), (9, 3)])
+def test_motif_count_matrix_matches_window_loop(n, m):
+    basis = enumerate_basis(n, m)
+    for k in range(1, n + 1):
+        # thin out the basis where m**k columns would make the matrix large
+        states = basis[:: max(1, m**k * len(basis) // 2_000_000)]
+        mcm = motif_count_matrix(states, k, m)
+        expected = reference_count_matrix(states, k, m)
+        assert mcm.entries.dtype == np.int64
+        assert np.array_equal(mcm.entries, expected)
+        assert np.array_equal(motif_vector(states[-1], k, m), expected[:, -1])
+        picked = all_motifs(m, k)[::-3]  # out of lexicographic order
+        rows = [motif_index(mo, m) for mo in picked]
+        assert np.array_equal(motif_count_rows(states, picked, m), expected[rows])
+
+
+def test_motif_count_rows_above_the_full_matrix_cap():
+    # K = N = 28: the full count matrix of one class has 2**28 rows and is
+    # refused, while a few selected rows of it are cheap
+    rng = np.random.default_rng(7)
+    s = tuple(int(x) for x in rng.permutation([0, 1] * 14))
+    cls = tuple(sorted(orbit(s, 2)))
+    with pytest.raises(MemoryError):
+        motif_count_matrix(cls, 28, 2)
+    picked = [s[3:] + s[:3], (0,) * 14 + (1,) * 14, cls[-1]]
+    counts = motif_count_rows(cls, picked, 2)
+    expected = [[sum((t + t)[i : i + 28] == mo for i in range(28)) for t in cls]
+                for mo in picked]
+    assert np.array_equal(counts, expected)
+    assert class_averaged_counts(cls, picked[0], 2) == Fraction(sum(expected[0]), len(cls))
+    with pytest.raises(ValueError):
+        motif_count_rows(cls, [picked[0], picked[0]], 2)
+
+
+def test_motif_count_matrix_checks_sizes():
+    basis = enumerate_basis(6, 2)
+    with pytest.raises(ValueError):
+        motif_count_matrix(basis, 0, 2)
+    with pytest.raises(ValueError):
+        motif_count_matrix(basis, 7, 2)
+    with pytest.raises(MemoryError):
+        motif_count_matrix(basis, 3, 2, max_entries=8 * len(basis) - 1)
+
+
+@st.composite
+def redundant_integer_matrices(draw):
+    """Small integer matrices built from repeated columns, repeated rows and
+    zero rows of a random base (possibly empty)."""
+    n_rows, n_cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    cells = draw(st.lists(st.integers(-3, 3), min_size=n_rows * n_cols,
+                          max_size=n_rows * n_cols))
+    base = np.zeros((n_rows + 1, n_cols), dtype=np.int64)  # last row stays zero
+    base[:n_rows] = np.reshape(cells, (n_rows, n_cols))
+    rows = draw(st.lists(st.integers(0, n_rows), max_size=8))
+    cols = draw(st.lists(st.integers(0, n_cols - 1), max_size=8))
+    return base[np.array(rows, dtype=np.intp)][:, np.array(cols, dtype=np.intp)]
+
+
+@given(redundant_integer_matrices())
+def test_integer_rank_equals_undeduplicated_elimination(mat):
+    assert integer_rank(mat) == _bareiss_rank(mat.tolist())
+
+
 def test_integer_rank_small_cases():
     assert integer_rank(np.array([[1, 2], [2, 4]], dtype=np.int64)) == 1
     assert integer_rank(np.array([[1, 0], [0, 1]], dtype=np.int64)) == 2
     assert integer_rank(np.zeros((3, 3), dtype=np.int64)) == 0
+    assert integer_rank(np.zeros((0, 3), dtype=np.int64)) == 0
+    assert integer_rank(np.zeros((3, 0), dtype=np.int64)) == 0
     # a case where float elimination with a fixed threshold could waver
     mat = np.array([[1, 1], [1, 1], [2, 2]], dtype=np.int64)
     assert integer_rank(mat) == 1
@@ -89,6 +170,13 @@ def test_rank_law_breaks_at_half_chain():
 def test_critical_kernel_size_n8():
     # rank must reach the 7 equivalence classes; 2^(K-1) >= 7 first at K=4
     assert critical_kernel_size(8, 2) == 4
+
+
+def test_rank_sequence_and_critical_kernel_size_n12():
+    basis = enumerate_basis(12, 2)
+    ranks = [integer_rank(motif_count_matrix(basis, k, 2)) for k in range(1, 8)]
+    assert ranks == [1, 2, 4, 8, 16, 30, 52]
+    assert critical_kernel_size(12, 2) == 7
 
 
 @pytest.mark.parametrize("n,k,m", [(9, 2, 3), (12, 3, 2), (15, 4, 3)])
