@@ -2,8 +2,14 @@
 
 Subcommands: basis, motif-rank, exact, mev, cft, train, regress.  Every run
 writes a config echo with a content hash into the output directory so results
-can be replayed exactly.  Exit codes: 0 success, 2 invalid config, 3 numerical
-failure.
+can be replayed exactly.  Exit codes, the same for every subcommand:
+
+- 0: success.
+- 2: invalid configuration (a ``ValueError`` such as a bad size, a missing
+  option or an unreadable config file, or a ``MemoryError``); writes
+  ``error.json`` with ``{"error": "invalid-config"}``.
+- 3: numerical failure (``exact.NumericalCheckError``, or a diverged training
+  seed); writes ``error.json`` with ``{"error": "numerical"}``.
 """
 
 from __future__ import annotations
@@ -12,16 +18,13 @@ import csv
 import hashlib
 import json
 import os
-import sys
 import tempfile
-from contextlib import contextmanager
 from pathlib import Path
 
 import click
 import numpy as np
 
 from . import analysis, exact, motif, spinchain, vmc
-from .ansatz import CnnParams, grandsum
 
 OUTPUT_ROOT_ENV = "SPINMOTIF_OUT"
 
@@ -67,10 +70,12 @@ def _load_config(config_path: str | None, flags: dict) -> dict:
     cfg = {}
     if config_path:
         try:
-            cfg.update(json.loads(Path(config_path).read_text()))
+            cfg = json.loads(Path(config_path).read_text())
         except (OSError, json.JSONDecodeError) as err:
-            raise ConfigError(f"cannot read config file: {err}")
-    cfg.update({k: v for k, v in flags.items() if v is not None})
+            raise ValueError(f"cannot read config file: {err}")
+        if not isinstance(cfg, dict):
+            raise ValueError("config file must hold a JSON object")
+    cfg.update({k: v for k, v in flags.items() if v is not None and v != ()})
     return cfg
 
 
@@ -90,25 +95,18 @@ def _error_json(out: Path, kind: str, message: str) -> None:
         pass
 
 
-@contextmanager
-def _solve_errors(out: Path):
-    """Invalid sizes exit 2; a failed numerical check exits 3 with ``error.json``."""
-    try:
-        yield
-    except exact.NumericalCheckError as err:
-        _error_json(out, "numerical", str(err))
-        raise NumericalError(str(err))
-    except ValueError as err:  # includes BasisTooLargeError
-        raise ConfigError(str(err))
-
-
 def _state_str(s) -> str:
     return "".join(str(x) for x in s)
 
 
+def _write_mev(out: Path, table: dict, n: int) -> None:
+    _write_csv(out / "mev.csv", ["motif", "probability", "count"],
+               [[_state_str(mo), f"{v!r}", f"{v * n!r}"] for mo, v in table.items()])
+
+
 def _require(cfg: dict, key: str):
     if key not in cfg or cfg[key] is None:
-        raise ConfigError(f"missing required option: {key}")
+        raise ValueError(f"missing required option: {key}")
     return cfg[key]
 
 
@@ -117,30 +115,47 @@ def main() -> None:
     """Motif-based CNN ansatz toolkit for 1D spin chains."""
 
 
-def _common(fn):
-    fn = click.option("--config", type=click.Path(), default=None,
-                      help="JSON config file; flags override its keys")(fn)
-    fn = click.option("--out", type=click.Path(), default=None,
-                      help="output directory")(fn)
-    fn = click.option("--seed", type=int, default=None, help="root random seed")(fn)
-    return fn
+CONFIG = click.option("--config", type=click.Path(), default=None,
+                      help="JSON config file; flags override its keys")
+OUT = click.option("--out", type=click.Path(), default=None, help="output directory")
+SITES = click.option("-n", "--sites", "N", type=int, default=None)
+SPECIES = click.option("-m", "--species", "M", type=int, default=None)
+KERNEL = click.option("-k", "--kernel", "K", type=int, default=None)
 
 
-@main.command()
-@click.option("-n", "--sites", type=int, default=None)
-@click.option("-m", "--species", type=int, default=None)
-@_common
-def basis(sites, species, config, out, seed):
+def command(name: str, *options):
+    """Register ``body(cfg, out_dir)`` as the subcommand ``name``.
+
+    Adds ``--config`` and ``--out`` to ``options``.  Each option's parameter
+    name is its config key, so the flags passed override the file's keys with
+    no renaming.  Failures map to the exit codes of the module docstring.
+    """
+    def register(body):
+        def run(config, out, **flags):
+            out_dir = _resolve_out(out)
+            (out_dir / "error.json").unlink(missing_ok=True)  # left by an earlier run
+            try:
+                body(_load_config(config, flags), out_dir)
+            except exact.NumericalCheckError as err:
+                _error_json(out_dir, "numerical", str(err))
+                raise NumericalError(str(err))
+            except (ValueError, MemoryError) as err:  # includes BasisTooLargeError
+                _error_json(out_dir, "invalid-config", str(err))
+                raise ConfigError(str(err))
+
+        for opt in reversed((*options, CONFIG, OUT)):
+            run = opt(run)
+        main.command(name, help=body.__doc__)(run)
+        return body
+    return register
+
+
+@command("basis", SITES, SPECIES)
+def basis(cfg: dict, out_dir: Path) -> None:
     """Export the zero-magnetization basis with equivalence-class ids."""
-    cfg = _load_config(config, {"N": sites, "M": species, "seed": seed})
     n, m = int(_require(cfg, "N")), int(cfg.get("M", 2))
-    out_dir = _resolve_out(out)
     _echo_config(out_dir, "basis", {"N": n, "M": m})
-    try:
-        b = spinchain.enumerate_basis(n, m)
-    except (ValueError, spinchain.BasisTooLargeError) as err:
-        _error_json(out_dir, "invalid-config", str(err))
-        raise ConfigError(str(err))
+    b = spinchain.enumerate_basis(n, m)
     part = spinchain.partition_classes(b, m)
     _write_csv(out_dir / "basis.csv", ["state", "class_id"],
                [[_state_str(s), c] for s, c in zip(b, part.class_ids.tolist())])
@@ -153,66 +168,45 @@ def basis(sites, species, config, out, seed):
     click.echo(f"{len(b)} states, {len(part)} classes -> {out_dir}")
 
 
-@main.command("motif-rank")
-@click.option("-n", "--sites", type=int, default=None)
-@click.option("-m", "--species", type=int, default=None)
-@click.option("--k-max", type=int, default=None)
-@_common
-def motif_rank(sites, species, k_max, config, out, seed):
+@command("motif-rank", SITES, SPECIES, click.option("--k-max", type=int, default=None))
+def motif_rank(cfg: dict, out_dir: Path) -> None:
     """Rank of the motif count matrix per K, plus the critical kernel size."""
-    cfg = _load_config(config, {"N": sites, "M": species, "k_max": k_max})
     n, m = int(_require(cfg, "N")), int(cfg.get("M", 2))
-    out_dir = _resolve_out(out)
     _echo_config(out_dir, "motif-rank", {"N": n, "M": m, "k_max": cfg.get("k_max")})
-    try:
-        b = spinchain.enumerate_basis(n, m)
-    except (ValueError, spinchain.BasisTooLargeError) as err:
-        raise ConfigError(str(err))
+    b = spinchain.enumerate_basis(n, m)
     part = spinchain.partition_classes(b, m)
     kmax = int(cfg.get("k_max") or n)
     rows = []
     k_star = None
-    try:
-        for k in range(1, kmax + 1):
-            rank = motif.integer_rank(motif.motif_count_matrix(b, k, m))
-            rows.append({"K": k, "rank": rank, "class_count": len(part)})
-            if k_star is None and rank >= len(part):
-                k_star = k
-    except MemoryError as err:
-        raise ConfigError(str(err))
+    for k in range(1, kmax + 1):
+        rank = motif.integer_rank(motif.motif_count_matrix(b, k, m))
+        rows.append({"K": k, "rank": rank, "class_count": len(part)})
+        if k_star is None and rank >= len(part):
+            k_star = k
     _atomic_write(out_dir / "rank_report.json", json.dumps({
         "N": n, "M": m, "class_count": len(part), "K_star": k_star, "ranks": rows,
     }, indent=2) + "\n")
     click.echo(f"K* = {k_star} -> {out_dir}")
 
 
-@main.command("exact")
-@click.option("-n", "--sites", type=int, default=None)
-@click.option("-m", "--species", type=int, default=None)
-@click.option("-k", "--kernel", type=int, default=None)
-@_common
-def exact_cmd(sites, species, kernel, config, out, seed):
+@command("exact", SITES, SPECIES, KERNEL)
+def exact_cmd(cfg: dict, out_dir: Path) -> None:
     """Ground-state solve with MEVs, spectra, truncation and class-mass curves."""
-    cfg = _load_config(config, {"N": sites, "M": species, "K": kernel})
     n, m = int(_require(cfg, "N")), int(cfg.get("M", 2))
     k = int(cfg.get("K") or min(4, n // 2))
-    out_dir = _resolve_out(out)
     _echo_config(out_dir, "exact", {"N": n, "M": m, "K": k})
-    with _solve_errors(out_dir):
-        gs = exact.ground_state(n, m, gauge=(m == 2))
+    gs = exact.ground_state(n, m, gauge=(m == 2))
     part = spinchain.partition_classes(gs.states, m)
+    trunc_ks = range(1, min(k, n // 2) + 1)
+    rdms = {kk: exact.reduced_density_matrix(gs, kk) for kk in sorted({*trunc_ks, k})}
     _atomic_write(out_dir / "exact.json", json.dumps({
         "N": n, "M": m, "K": k, "gauge": gs.gauge, "solver": gs.solver,
         "E0": gs.e0, "Emax": gs.emax, "gap_estimate": exact.gap_estimate(gs),
         "residual": gs.residual, "basis_size": len(gs.states),
-        "trace_check": 1.0,
+        "trace_check": float(np.trace(rdms[k].rho)),
         "class_count_99": exact.cumulative_class_mass(gs, part, 0.99),
     }, indent=2) + "\n")
-    trunc_ks = range(1, min(k, n // 2) + 1)
-    rdms = {kk: exact.reduced_density_matrix(gs, kk) for kk in sorted({*trunc_ks, k})}
-    mev = exact.rdm_mev(rdms[k])
-    _write_csv(out_dir / "mev.csv", ["motif", "probability", "count"],
-               [[_state_str(mo), f"{v!r}", f"{v * n!r}"] for mo, v in mev.items()])
+    _write_mev(out_dir, exact.rdm_mev(rdms[k]), n)
     spectra = {kk: exact.entanglement_spectrum(rdm) for kk, rdm in rdms.items()}
     _atomic_write(out_dir / "spectrum.json",
                   json.dumps({"K": k, "epsilon": list(spectra[k])}, indent=2) + "\n")
@@ -221,74 +215,49 @@ def exact_cmd(sites, species, kernel, config, out, seed):
     click.echo(f"E0 = {gs.e0:.10f} -> {out_dir}")
 
 
-@main.command()
-@click.option("-n", "--sites", type=int, default=None)
-@click.option("-m", "--species", type=int, default=None)
-@click.option("-k", "--kernel", type=int, default=None)
-@_common
-def mev(sites, species, kernel, config, out, seed):
+@command("mev", SITES, SPECIES, KERNEL)
+def mev(cfg: dict, out_dir: Path) -> None:
     """Exact MEV table for one (N, K)."""
-    cfg = _load_config(config, {"N": sites, "M": species, "K": kernel})
     n, m = int(_require(cfg, "N")), int(cfg.get("M", 2))
     k = int(_require(cfg, "K"))
-    out_dir = _resolve_out(out)
     _echo_config(out_dir, "mev", {"N": n, "M": m, "K": k})
-    with _solve_errors(out_dir):
-        gs = exact.ground_state(n, m, gauge=(m == 2))
-        table = exact.exact_mev(gs, k)
-    _write_csv(out_dir / "mev.csv", ["motif", "probability", "count"],
-               [[_state_str(mo), f"{v!r}", f"{v * n!r}"] for mo, v in table.items()])
+    table = exact.exact_mev(exact.ground_state(n, m, gauge=(m == 2)), k)
+    _write_mev(out_dir, table, n)
     click.echo(f"{len(table)} motifs -> {out_dir}")
 
 
-@main.command()
-@click.option("-k", "--kernel", type=int, default=None)
-@click.option("--beta", type=float, default=None)
-@click.option("--calibrate-n", type=int, default=None,
-              help="calibrate beta against exact MEVs at this N")
-@_common
-def cft(kernel, beta, calibrate_n, config, out, seed):
+@command("cft", KERNEL, click.option("--beta", type=float, default=None),
+         click.option("--calibrate-n", "calibrate_N", type=int, default=None,
+                      help="calibrate beta against exact MEVs at this N"))
+def cft(cfg: dict, out_dir: Path) -> None:
     """Thermal entanglement-Hamiltonian MEVs, optionally with beta calibration."""
-    cfg = _load_config(config, {"K": kernel, "beta": beta, "calibrate_N": calibrate_n})
     k = int(_require(cfg, "K"))
-    out_dir = _resolve_out(out)
     _echo_config(out_dir, "cft", {"K": k, "beta": cfg.get("beta"),
                                   "calibrate_N": cfg.get("calibrate_N")})
     b = cfg.get("beta")
     if cfg.get("calibrate_N"):
-        with _solve_errors(out_dir):
-            ref_gs = exact.ground_state(int(cfg["calibrate_N"]), 2, gauge=True)
-            b = exact.calibrate_beta(k, exact.exact_mev(ref_gs, k))
+        ref_gs = exact.ground_state(int(cfg["calibrate_N"]), 2, gauge=True)
+        b = exact.calibrate_beta(k, exact.exact_mev(ref_gs, k))
     if b is None:
-        raise ConfigError("need --beta or --calibrate-n")
-    try:
-        table = exact.cft_mev(k, float(b))
-    except ValueError as err:
-        raise ConfigError(str(err))
+        raise ValueError("need --beta or --calibrate-n")
+    table = exact.cft_mev(k, float(b))
     _atomic_write(out_dir / "beta.json", json.dumps({"K": k, "beta": float(b)}) + "\n")
     _write_csv(out_dir / "cft_mev.csv", ["motif", "probability"],
                [[_state_str(mo), f"{v!r}"] for mo, v in table.items()])
     click.echo(f"beta = {float(b):.6f} -> {out_dir}")
 
 
-@main.command()
-@click.option("-n", "--sites", type=int, default=None)
-@click.option("-k", "--kernel", type=int, default=None)
-@click.option("--algorithm", type=click.Choice(vmc.ALGORITHMS), default=None)
-@click.option("--eta", type=float, default=None)
-@click.option("--n-opt", type=int, default=None)
-@click.option("--max-iter", type=int, default=None)
-@click.option("--n-samples", type=int, default=None)
-@click.option("--seeds", type=str, default=None, help="comma-separated seed list")
-@_common
-def train(sites, kernel, algorithm, eta, n_opt, max_iter, n_samples, seeds,
-          config, out, seed):
+@command("train", SITES, KERNEL,
+         click.option("--algorithm", type=click.Choice(vmc.ALGORITHMS), default=None),
+         click.option("--eta", type=float, default=None),
+         click.option("--n-opt", type=int, default=None),
+         click.option("--max-iter", type=int, default=None),
+         click.option("--n-samples", type=int, default=None),
+         click.option("--seeds", type=str, default=None, help="comma-separated seed list"),
+         click.option("--seed", type=int, default=None,
+                      help="single seed, used when --seeds is not given"))
+def train(cfg: dict, out_dir: Path) -> None:
     """Train the CNN across seeds; writes trajectories and a summary."""
-    cfg = _load_config(config, {
-        "N": sites, "K": kernel, "algorithm": algorithm, "eta": eta,
-        "n_opt": n_opt, "max_iter": max_iter, "n_samples": n_samples,
-        "seeds": seeds, "seed": seed,
-    })
     n = int(_require(cfg, "N"))
     k = int(cfg.get("K", 4))
     algo = cfg.get("algorithm", "symforce-traj")
@@ -302,27 +271,20 @@ def train(sites, kernel, algorithm, eta, n_opt, max_iter, n_samples, seeds,
         "max_iter": int(cfg.get("max_iter", 500)),
         "n_samples": int(cfg.get("n_samples", 1000)), "seeds": seed_list,
     }
-    out_dir = _resolve_out(out)
     digest = _echo_config(out_dir, "train", run_cfg)
 
     e0 = gap = None
-    with _solve_errors(out_dir):
-        if spinchain.basis_size(n, 2) <= 100_000:
-            gs = exact.ground_state(n, 2, gauge=True)
-            e0, gap = gs.e0, exact.gap_estimate(gs)
+    if spinchain.basis_size(n, 2) <= 100_000:
+        gs = exact.ground_state(n, 2, gauge=True)
+        e0, gap = gs.e0, exact.gap_estimate(gs)
 
     summaries = []
     for s in seed_list:
-        try:
-            tcfg = vmc.TrainConfig(algorithm=algo, k=k, eta=run_cfg["eta"],
-                                   n_opt=run_cfg["n_opt"],
-                                   max_iter=run_cfg["max_iter"], seed=s)
-        except ValueError as err:
-            raise ConfigError(str(err))
+        tcfg = vmc.TrainConfig(algorithm=algo, k=k, eta=run_cfg["eta"],
+                               n_opt=run_cfg["n_opt"],
+                               max_iter=run_cfg["max_iter"], seed=s)
         scfg = vmc.SamplerConfig(n_samples=run_cfg["n_samples"], seed=s)
         traj = vmc.train(tcfg, scfg, n, keep_history=False)
-        if traj.diverged:
-            _error_json(out_dir, "numerical", f"seed {s} diverged")
         _write_csv(out_dir / f"trajectory_seed{s}.csv",
                    ["iteration", "energy", "stderr", "grandsum"],
                    [[i + 1, f"{e!r}", f"{se!r}", f"{g!r}"] for i, (e, se, g) in
@@ -347,23 +309,21 @@ def train(sites, kernel, algorithm, eta, n_opt, max_iter, n_samples, seeds,
         doc["min_delta_E_rel"] = min(deltas)
         doc["mean_delta_E_rel"] = float(np.mean(deltas))
     _atomic_write(out_dir / "summary.json", json.dumps(doc, indent=2) + "\n")
-    if any(s["diverged"] for s in summaries):
-        raise NumericalError("one or more seeds diverged; partial results written")
+    diverged = [s["seed"] for s in summaries if s["diverged"]]
+    if diverged:
+        raise exact.NumericalCheckError(f"seeds {diverged} diverged; partial results written")
     click.echo(f"best energy {min(finals):.6f} -> {out_dir}")
 
 
-@main.command()
-@click.option("--mev-csv", type=click.Path(exists=True), default=None,
-              help="MEV table for the physical-feature model")
-@click.option("--runs", type=click.Path(exists=True), multiple=True,
-              help="training summary.json files for the error model")
-@_common
-def regress(mev_csv, runs, config, out, seed):
+@command("regress",
+         click.option("--mev-csv", type=click.Path(exists=True), default=None,
+                      help="MEV table for the physical-feature model"),
+         click.option("--runs", type=click.Path(exists=True), multiple=True,
+                      help="training summary.json files for the error model"))
+def regress(cfg: dict, out_dir: Path) -> None:
     """Fit the declared regression models and emit coefficient tables."""
-    cfg = _load_config(config, {"mev_csv": mev_csv})
-    out_dir = _resolve_out(out)
-    _echo_config(out_dir, "regress",
-                 {"mev_csv": cfg.get("mev_csv"), "runs": list(runs)})
+    runs = list(cfg.get("runs", ()))
+    _echo_config(out_dir, "regress", {"mev_csv": cfg.get("mev_csv"), "runs": runs})
     did_anything = False
     if cfg.get("mev_csv"):
         motifs, values = [], []
@@ -396,7 +356,7 @@ def regress(mev_csv, runs, config, out, seed):
                       json.dumps({"kept": kept, "removed": removed}, indent=2) + "\n")
         did_anything = True
     if not did_anything:
-        raise ConfigError("nothing to regress: pass --mev-csv and/or --runs")
+        raise ValueError("nothing to regress: pass --mev-csv and/or --runs")
 
 
 if __name__ == "__main__":

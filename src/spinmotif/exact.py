@@ -121,10 +121,11 @@ def ground_state(
     """Lowest eigenpair of the sector Hamiltonian, plus E_max.
 
     Dense symmetric solver up to ``dense_cap`` states, restarted Lanczos
-    (ARPACK) above it.  Lanczos takes E_max = N without a second solve:
-    ||sum_i P_i|| <= N, and the fully symmetric state (the sign vector when
-    gauged) has eigenvalue N, which one matvec certifies.  Both residuals
-    are checked and a failure raises :class:`ResidualError`.
+    (ARPACK, from a fixed-seed start vector, so runs replay) above it.
+    Lanczos takes E_max = N without a second solve: ||sum_i P_i|| <= N, and
+    the fully symmetric state (the sign vector when gauged) has eigenvalue
+    N, which one matvec certifies.  Both residuals are checked and a failure
+    raises :class:`ResidualError`.
     """
     basis = enumerate_basis(n, m)
     states = as_states(basis)
@@ -137,7 +138,10 @@ def ground_state(
         vec = evecs[:, 0]
         solver = "dense"
     else:
-        evals, evecs = spla.eigsh(h, k=2, which="SA", tol=0)
+        # not a symmetric start such as ones: Lanczos would stay in the
+        # trivial sector and e1 would miss the global second eigenvalue
+        v0 = np.random.default_rng(0).uniform(-1.0, 1.0, dim)
+        evals, evecs = spla.eigsh(h, k=2, which="SA", tol=0, v0=v0)
         order = np.argsort(evals)
         e0, e1 = float(evals[order[0]]), float(evals[order[1]])
         vec = evecs[:, order[0]]

@@ -71,11 +71,6 @@ class TrainingTrajectory:
         return len(self.energies)
 
 
-def _n_like(s: SpinConfig) -> int:
-    n = len(s)
-    return sum(1 for i in range(n) if s[i] == s[(i + 1) % n])
-
-
 def local_energies(p: CnnParams, states: np.ndarray) -> np.ndarray:
     """Vectorized local energies for a (B, N) batch of M=2 states."""
     states = np.asarray(states, dtype=np.intp)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from spinmotif import exact
+from spinmotif import exact, motif, vmc
 from spinmotif.cli import main
 
 
@@ -28,9 +28,39 @@ def test_basis_outputs(runner, tmp_path):
     assert echo["command"] == "basis" and "hash" in echo
 
 
-def test_basis_rejects_bad_sizes(runner, tmp_path):
-    result = runner.invoke(main, ["basis", "-n", "7", "--out", str(tmp_path / "x")])
-    assert result.exit_code == 2
+def _raise_memory_error(*args, **kwargs):
+    raise MemoryError("too large")
+
+
+@pytest.mark.parametrize("args, target", [
+    pytest.param(["basis", "-n", "7"], None, id="basis"),
+    pytest.param(["motif-rank", "-n", "7"], None, id="motif-rank"),
+    pytest.param(["exact", "-n", "7"], None, id="exact"),
+    pytest.param(["mev", "-n", "7", "-k", "3"], None, id="mev"),
+    pytest.param(["train", "-n", "7"], None, id="train"),
+    pytest.param(["motif-rank", "-n", "8"], (motif, "motif_count_matrix"),
+                 id="motif-rank-memory"),
+    pytest.param(["exact", "-n", "8"], (exact, "ground_state"), id="exact-memory"),
+    pytest.param(["basis", "-n", "8", "--config", "missing.json"], None, id="config-missing"),
+    pytest.param(["basis", "-n", "8", "--config", "list.json"], None, id="config-not-object"),
+])
+def test_invalid_config_is_exit_2(runner, tmp_path, monkeypatch, args, target):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "list.json").write_text("[8]")
+    if target:
+        monkeypatch.setattr(*target, _raise_memory_error)
+    out = tmp_path / "x"
+    result = runner.invoke(main, args + ["--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert json.loads((out / "error.json").read_text())["error"] == "invalid-config"
+
+
+def test_success_removes_stale_error_json(runner, tmp_path):
+    out = tmp_path / "b"
+    assert runner.invoke(main, ["basis", "-n", "7", "--out", str(out)]).exit_code == 2
+    assert (out / "error.json").exists()
+    assert runner.invoke(main, ["basis", "-n", "8", "--out", str(out)]).exit_code == 0
+    assert not (out / "error.json").exists()
 
 
 def test_config_file_with_flag_override(runner, tmp_path):
@@ -66,23 +96,21 @@ def test_exact_and_mev(runner, tmp_path):
     assert len(mev_lines) == 9  # header + 8 motifs
     total = sum(float(l.split(",")[1]) for l in mev_lines[1:])
     assert total == pytest.approx(1.0, abs=1e-9)
+    assert doc["trace_check"] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_exact_outputs_match_library_with_one_rdm_per_size(runner, tmp_path, monkeypatch):
     n, k = 10, 4
-    calls, solves = [], []
-    build_rdm, solve = exact.reduced_density_matrix, exact.ground_state
+    calls = []
+    build_rdm = exact.reduced_density_matrix
     monkeypatch.setattr(exact, "reduced_density_matrix",
                         lambda gs, kk: calls.append(kk) or build_rdm(gs, kk))
-    # Lanczos starts from a random vector, so compare against the CLI's own solve
-    monkeypatch.setattr(exact, "ground_state",
-                        lambda *a, **kw: solves.append(solve(*a, **kw)) or solves[-1])
     out = tmp_path / "e"
     result = runner.invoke(main, ["exact", "-n", str(n), "-k", str(k), "--out", str(out)])
     assert result.exit_code == 0, result.output
     assert sorted(calls) == [1, 2, 3, 4]
 
-    (gs,) = solves
+    gs = exact.ground_state(n, 2, gauge=True)
     mev = exact.exact_mev(gs, k)
     assert (out / "mev.csv").read_text() == "motif,probability,count\n" + "".join(
         f"{''.join(map(str, mo))},{v!r},{v * n!r}\n" for mo, v in mev.items())
@@ -93,6 +121,18 @@ def test_exact_outputs_match_library_with_one_rdm_per_size(runner, tmp_path, mon
                                     0.99) for kk in range(1, k + 1)]
     assert (out / "truncation.csv").read_text() == "K,count_99\n" + "".join(
         f"{kk},{c}\n" for kk, c in enumerate(counts, start=1))
+
+
+def test_exact_replays_byte_for_byte(runner, tmp_path):
+    outs = [tmp_path / "a", tmp_path / "b"]
+    for out in outs:
+        result = runner.invoke(main, ["exact", "-n", "10", "-k", "4", "--out", str(out)])
+        assert result.exit_code == 0, result.output
+    assert json.loads((outs[0] / "exact.json").read_text())["solver"] == "lanczos"
+    names = sorted(p.name for p in outs[0].iterdir())
+    assert names == sorted(p.name for p in outs[1].iterdir())
+    for name in names:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
 
 def test_cft_requires_beta_source(runner, tmp_path):
@@ -151,6 +191,23 @@ def test_failed_residual_is_numerical_error(runner, tmp_path, monkeypatch, args)
     result = runner.invoke(main, args + ["--out", str(out)])
     assert result.exit_code == 3, result.output
     assert json.loads((out / "error.json").read_text())["error"] == "numerical"
+
+
+def test_diverged_seed_is_numerical_error(runner, tmp_path, monkeypatch):
+    train = vmc.train
+
+    def diverging(*args, **kwargs):
+        traj = train(*args, **kwargs)
+        traj.diverged = True
+        return traj
+
+    monkeypatch.setattr(vmc, "train", diverging)
+    out = tmp_path / "t"
+    result = runner.invoke(main, ["train", "-n", "6", "-k", "2", "--max-iter", "2",
+                                  "--n-samples", "50", "--seeds", "0,1", "--out", str(out)])
+    assert result.exit_code == 3, result.output
+    assert json.loads((out / "error.json").read_text())["error"] == "numerical"
+    assert len(json.loads((out / "summary.json").read_text())["runs"]) == 2
 
 
 def test_cft_calibration_size_is_config_error(runner, tmp_path):
