@@ -65,13 +65,22 @@ def _resolve_out(out: str | None) -> Path:
     return Path(root) / "spinmotif-run"
 
 
+def _read_input(path: str) -> str:
+    """The text of an input file; one that cannot be read is a configuration
+    error, also when a config file rather than a flag names it."""
+    try:
+        return Path(path).read_text()
+    except OSError as err:
+        raise ValueError(f"cannot read input file: {err}")
+
+
 def _load_config(config_path: str | None, flags: dict) -> dict:
     """File keys form the base; explicitly passed flags override them."""
     cfg = {}
     if config_path:
         try:
-            cfg = json.loads(Path(config_path).read_text())
-        except (OSError, json.JSONDecodeError) as err:
+            cfg = json.loads(_read_input(config_path))
+        except json.JSONDecodeError as err:
             raise ValueError(f"cannot read config file: {err}")
         if not isinstance(cfg, dict):
             raise ValueError("config file must hold a JSON object")
@@ -173,18 +182,11 @@ def motif_rank(cfg: dict, out_dir: Path) -> None:
     """Rank of the motif count matrix per K, plus the critical kernel size."""
     n, m = int(_require(cfg, "N")), int(cfg.get("M", 2))
     _echo_config(out_dir, "motif-rank", {"N": n, "M": m, "k_max": cfg.get("k_max")})
-    b = spinchain.enumerate_basis(n, m)
-    part = spinchain.partition_classes(b, m)
-    kmax = int(cfg.get("k_max") or n)
-    rows = []
-    k_star = None
-    for k in range(1, kmax + 1):
-        rank = motif.integer_rank(motif.motif_count_matrix(b, k, m))
-        rows.append({"K": k, "rank": rank, "class_count": len(part)})
-        if k_star is None and rank >= len(part):
-            k_star = k
+    n_classes, ranks, k_star = motif.rank_scan(n, m, int(cfg.get("k_max") or n))
+    rows = [{"K": k, "rank": rank, "class_count": n_classes}
+            for k, rank in enumerate(ranks, start=1)]
     _atomic_write(out_dir / "rank_report.json", json.dumps({
-        "N": n, "M": m, "class_count": len(part), "K_star": k_star, "ranks": rows,
+        "N": n, "M": m, "class_count": n_classes, "K_star": k_star, "ranks": rows,
     }, indent=2) + "\n")
     click.echo(f"K* = {k_star} -> {out_dir}")
 
@@ -327,10 +329,9 @@ def regress(cfg: dict, out_dir: Path) -> None:
     did_anything = False
     if cfg.get("mev_csv"):
         motifs, values = [], []
-        with open(cfg["mev_csv"]) as fh:
-            for row in csv.DictReader(fh):
-                motifs.append(tuple(int(c) for c in row["motif"]))
-                values.append(float(row["probability"]))
+        for row in csv.DictReader(_read_input(cfg["mev_csv"]).splitlines()):
+            motifs.append(tuple(int(c) for c in row["motif"]))
+            values.append(float(row["probability"]))
         design, names = analysis.feature_design(motifs)
         result = analysis.ols_regress(design, 100.0 * np.array(values), names)
         _write_csv(out_dir / "feature_regression.csv",
@@ -346,7 +347,7 @@ def regress(cfg: dict, out_dir: Path) -> None:
     if runs:
         records = []
         for path in runs:
-            doc = json.loads(Path(path).read_text())
+            doc = json.loads(_read_input(path))
             for run in doc.get("runs", []):
                 if "delta_E_rel" in run:
                     records.append(run)

@@ -2,7 +2,12 @@
 
 Motifs are ordered lexicographically over label sequences; all rank and
 class-average computations use exact integer/rational arithmetic, with floats
-allowed only as cross-checks.
+allowed only as cross-checks.  The rank of a count matrix comes from
+Gauss-Jordan elimination modulo one 31-bit prime in int64, accepted only with
+an integer certificate: left-kernel vectors Y with ``Y @ A == 0`` checked
+exactly under a stated overflow bound (Dixon, Numer. Math. 40, 137 (1982)).
+A matrix the certificate does not cover falls back to fraction-free Bareiss
+elimination over the integers.
 """
 
 from __future__ import annotations
@@ -14,7 +19,14 @@ from itertools import product
 
 import numpy as np
 
-from .spinchain import SpinConfig, as_states, enumerate_basis, orbit, partition_classes
+from .spinchain import (
+    SpinConfig,
+    as_states,
+    enumerate_basis,
+    orbit,
+    partition_classes,
+    translation_representatives,
+)
 
 Motif = tuple[int, ...]
 
@@ -138,21 +150,84 @@ def _bareiss_rank(rows: list[list[int]]) -> int:
     return rank
 
 
+#: The prime of the modular elimination: below 2**31, so a product of two
+#: residues stays below 2**62 in int64.
+PRIME = 2147483629
+
+#: Bound on every partial sum of the int64 certificate product ``Y @ A``.
+_CERTIFIED_SUM = 2**62
+
+
+def _left_kernel_mod_p(distinct: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
+    """Rank mod :data:`PRIME` of an integer matrix A, with a basis of its left
+    kernel mod p.
+
+    Gauss-Jordan runs on the residues of A^T.  Returns the rank, the pivot
+    rows of A, and ``y_pivot``: the kernel vector of the i-th non-pivot row is
+    1 there, 0 at the other non-pivot rows and ``y_pivot[i]`` at the pivot
+    rows, with residues lifted to (-p/2, p/2).
+    """
+    p = PRIME
+    red = np.ascontiguousarray(distinct.T) % p  # column j is row j of A
+    n_eqs, n_vars = red.shape
+    rank, pivots = 0, []
+    for col in range(n_vars):
+        if rank == n_eqs:
+            break
+        nonzero = np.flatnonzero(red[rank:, col])
+        if not nonzero.size:
+            continue
+        top = rank + nonzero[0]
+        if top != rank:
+            red[[rank, top], col:] = red[[top, rank], col:]
+        pivot_row = red[rank, col:] * pow(int(red[rank, col]), -1, p) % p
+        red[rank, col:] = pivot_row
+        others = np.flatnonzero(red[:, col])
+        others = others[others != rank]
+        if others.size:
+            update = red[others, col, None] * pivot_row % p
+            red[others, col:] = (red[others, col:] - update) % p
+        pivots.append(col)
+        rank += 1
+    free = np.setdiff1d(np.arange(n_vars), pivots)
+    y_pivot = (-red[:rank, free].T) % p
+    y_pivot[y_pivot > p // 2] -= p
+    return rank, np.asarray(pivots, dtype=np.intp), y_pivot
+
+
 def integer_rank(matrix: MotifCountMatrix | np.ndarray) -> int:
     """Exact rank over the rationals of an integer matrix.
 
     Repeated columns, repeated rows and zero rows do not change the rank, so
-    they are dropped before the elimination: states in one translation orbit
-    share a count vector, which leaves few distinct columns.
+    they are dropped first.  The rank r_p of what is left modulo
+    :data:`PRIME` is at most the rank over Q: a minor that is nonzero mod p is
+    nonzero over Z.  It is returned only when the rows - r_p left-kernel
+    vectors Y of the elimination, lifted to small integers, satisfy
+    ``Y @ A == 0`` exactly in int64 with every partial sum bounded by
+    max|Y| * max|A| * (r_p + 1) < 2**62.  Those vectors are the identity on
+    the non-pivot rows, hence independent, so the rank over Q is at most r_p
+    as well.  Otherwise the rank comes from :func:`_bareiss_rank`.
     """
     entries = np.asarray(matrix.entries if isinstance(matrix, MotifCountMatrix) else matrix)
     if entries.size == 0:
         return 0
     distinct = np.unique(np.unique(entries, axis=1), axis=0)
-    rows = distinct[distinct.any(axis=1)].tolist()
-    if not rows:
+    distinct = distinct[distinct.any(axis=1)]
+    if not len(distinct):
         return 0
-    return _bareiss_rank(rows)
+    max_entry = max(int(distinct.max()), -int(distinct.min()))
+    if entries.dtype.kind not in "biu" or max_entry >= _CERTIFIED_SUM:
+        return _bareiss_rank(distinct.tolist())
+    distinct = distinct.astype(np.int64)
+    rank, pivots, y_pivot = _left_kernel_mod_p(distinct)
+    if rank == len(distinct):
+        return rank
+    free = np.setdiff1d(np.arange(len(distinct)), pivots)
+    max_y = max(1, int(np.abs(y_pivot).max(initial=0)))
+    if (max_y * max_entry * (rank + 1) < _CERTIFIED_SUM
+            and not (distinct[free] + y_pivot @ distinct[pivots]).any()):
+        return rank
+    return _bareiss_rank(distinct.tolist())
 
 
 def float_rank(matrix: MotifCountMatrix | np.ndarray, rtol: float = 1e-8) -> int:
@@ -164,15 +239,36 @@ def float_rank(matrix: MotifCountMatrix | np.ndarray, rtol: float = 1e-8) -> int
     return int(np.sum(svals > rtol * svals[0]))
 
 
+def rank_scan(n: int, m: int, k_max: int | None = None) -> tuple[int, list[int], int | None]:
+    """Exact ranks of the K-motif count matrix of the (n, m) sector for
+    K = 1, 2, ..., k_max, with the equivalence-class count and K*, the first K
+    whose rank reaches that count (None when no scanned K does).  Without
+    ``k_max`` the scan stops at K*.
+
+    A state's motif counts do not change under translation, so the matrices
+    are built on one state per translation orbit: the same distinct columns,
+    hence the same rank, from N-fold fewer columns.
+    """
+    states = as_states(enumerate_basis(n, m))
+    n_classes = len(partition_classes(states, m))
+    representatives = translation_representatives(states, m)
+    ranks: list[int] = []
+    k_star = None
+    for k in range(1, (k_max or n) + 1):
+        ranks.append(integer_rank(motif_count_matrix(representatives, k, m)))
+        if k_star is None and ranks[-1] >= n_classes:
+            k_star = k
+            if k_max is None:
+                break
+    return n_classes, ranks, k_star
+
+
 def critical_kernel_size(n: int, m: int) -> int:
     """Smallest K whose motif count matrix rank reaches the equivalence-class count."""
-    basis = enumerate_basis(n, m)
-    n_classes = len(partition_classes(basis, m))
-    for k in range(1, n + 1):
-        rank = integer_rank(motif_count_matrix(basis, k, m))
-        if rank >= n_classes:
-            return k
-    raise RuntimeError(f"no kernel size up to N={n} reaches rank {n_classes}")
+    k_star = rank_scan(n, m)[2]
+    if k_star is None:
+        raise RuntimeError(f"no kernel size up to N={n} reaches the class count")
+    return k_star
 
 
 def _alternating_prefix(k: int, m: int) -> Motif:

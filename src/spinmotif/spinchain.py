@@ -208,21 +208,36 @@ class EquivalenceClassPartition:
         return self.n_classes
 
 
+def rotation_min_codes(states: np.ndarray, m: int) -> np.ndarray:
+    """Smallest code among the N cyclic rotations of each row of a ``(S, N)``
+    label array: the code of the row's lexicographically smallest translate."""
+    n = states.shape[1]
+    wrap = m**n - 1  # rotating code c with lead digit d gives c*m - d*(m**n - 1)
+    code = state_codes(states, m)
+    best = code.copy()
+    for lead in states.T[:-1]:
+        code *= m
+        code -= lead.astype(np.int64) * wrap
+        np.minimum(best, code, out=best)
+    return best
+
+
+def translation_representatives(states: np.ndarray, m: int) -> np.ndarray:
+    """The rows of a ``(S, N)`` label array that are the smallest member of
+    their translation orbit, in their original order: one row per orbit when
+    the array holds whole orbits, such as a sector basis."""
+    return states[rotation_min_codes(states, m) == state_codes(states, m)]
+
+
 def canonical_codes(states: np.ndarray, m: int) -> np.ndarray:
     """Smallest code in each state's orbit: the minimum over relabelings,
     {identity, reflection} and the N cyclic rotations."""
-    n = states.shape[1]
-    wrap = m**n - 1  # rotating code c with lead digit d gives c*m - d*(m**n - 1)
     best = np.full(len(states), np.iinfo(np.int64).max)
     sites = np.ascontiguousarray(states.T)  # (N, S): one contiguous row per site
     for perm in permutations(range(m)):
         relabeled = np.asarray(perm, dtype=np.uint8)[sites]
         for oriented in (relabeled, relabeled[::-1]):
-            code = state_codes(oriented.T, m)
-            for lead in oriented:
-                np.minimum(best, code, out=best)
-                code *= m
-                code -= lead.astype(np.int64) * wrap
+            np.minimum(best, rotation_min_codes(oriented.T, m), out=best)
     return best
 
 

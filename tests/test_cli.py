@@ -43,10 +43,15 @@ def _raise_memory_error(*args, **kwargs):
     pytest.param(["exact", "-n", "8"], (exact, "ground_state"), id="exact-memory"),
     pytest.param(["basis", "-n", "8", "--config", "missing.json"], None, id="config-missing"),
     pytest.param(["basis", "-n", "8", "--config", "list.json"], None, id="config-not-object"),
+    pytest.param(["regress", "--config", "mev.json"], None, id="regress-mev-csv-missing"),
+    pytest.param(["regress", "--config", "runs.json"], None, id="regress-runs-missing"),
 ])
 def test_invalid_config_is_exit_2(runner, tmp_path, monkeypatch, args, target):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "list.json").write_text("[8]")
+    # a config file names input files that click's exists=True never sees
+    (tmp_path / "mev.json").write_text(json.dumps({"mev_csv": "missing.csv"}))
+    (tmp_path / "runs.json").write_text(json.dumps({"runs": ["missing.json"]}))
     if target:
         monkeypatch.setattr(*target, _raise_memory_error)
     out = tmp_path / "x"

@@ -6,8 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from spinmotif import motif
 from spinmotif.motif import (
+    PRIME,
     _bareiss_rank,
+    _left_kernel_mod_p,
     all_motifs,
     ambiguous_pair,
     class_averaged_counts,
@@ -21,6 +24,7 @@ from spinmotif.motif import (
     motif_index,
     motif_symmetry_classes,
     motif_vector,
+    rank_scan,
 )
 from spinmotif.spinchain import enumerate_basis, orbit, partition_classes
 
@@ -118,13 +122,19 @@ def test_motif_count_matrix_checks_sizes():
 @st.composite
 def redundant_integer_matrices(draw):
     """Small integer matrices built from repeated columns, repeated rows and
-    zero rows of a random base (possibly empty)."""
+    zero rows of a random base (possibly empty).  Entries range from small
+    counts to multiples of the elimination prime and values near 2**40; the
+    base also holds a combination of its first two rows, so large entries
+    come with rank deficiency."""
     n_rows, n_cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
-    cells = draw(st.lists(st.integers(-3, 3), min_size=n_rows * n_cols,
-                          max_size=n_rows * n_cols))
-    base = np.zeros((n_rows + 1, n_cols), dtype=np.int64)  # last row stays zero
+    entry = st.one_of(st.integers(-3, 3), st.integers(-2**40, 2**40),
+                      st.sampled_from([PRIME, -PRIME, 2 * PRIME, PRIME + 1]))
+    cells = draw(st.lists(entry, min_size=n_rows * n_cols, max_size=n_rows * n_cols))
+    a, b = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+    base = np.zeros((n_rows + 2, n_cols), dtype=np.int64)  # last row stays zero
     base[:n_rows] = np.reshape(cells, (n_rows, n_cols))
-    rows = draw(st.lists(st.integers(0, n_rows), max_size=8))
+    base[n_rows] = a * base[0] + b * base[min(1, n_rows - 1)]
+    rows = draw(st.lists(st.integers(0, n_rows + 1), max_size=8))
     cols = draw(st.lists(st.integers(0, n_cols - 1), max_size=8))
     return base[np.array(rows, dtype=np.intp)][:, np.array(cols, dtype=np.intp)]
 
@@ -132,6 +142,39 @@ def redundant_integer_matrices(draw):
 @given(redundant_integer_matrices())
 def test_integer_rank_equals_undeduplicated_elimination(mat):
     assert integer_rank(mat) == _bareiss_rank(mat.tolist())
+
+
+@pytest.fixture
+def bareiss_calls(monkeypatch):
+    """Counts the calls ``integer_rank`` makes to its Bareiss fallback."""
+    calls = []
+
+    def counting(rows):
+        calls.append(len(rows))
+        return _bareiss_rank(rows)
+
+    monkeypatch.setattr(motif, "_bareiss_rank", counting)
+    return calls
+
+
+@pytest.mark.parametrize("mat, rank", [
+    # the only entry vanishes mod p, so the rank mod p is 0 and Y = [[1]] fails
+    pytest.param([[PRIME]], 1, id="vanishes-mod-p"),
+    # the left kernel is spanned by (-3/2, 1): no small integer lift exists
+    pytest.param([[2], [3]], 1, id="kernel-needs-denominator"),
+    # the kernel vector (-2**29, -2**40, 1) lifts mod p to (-2**29, -9728, 1):
+    # 2**29 times entries of 2**40 breaks the int64 bound
+    pytest.param([[0, 1], [1, 0], [2**40, 2**29]], 2, id="overflow-bound"),
+])
+def test_uncertified_rank_falls_back_to_bareiss(bareiss_calls, mat, rank):
+    mat = np.array(mat, dtype=np.int64)
+    assert integer_rank(mat) == rank
+    assert len(bareiss_calls) == 1
+    rank_p, _, y_pivot = _left_kernel_mod_p(mat)
+    assert rank_p < len(mat)
+    max_entry = int(np.abs(mat).max())
+    if max_entry > 2**32:
+        assert int(np.abs(y_pivot).max()) * max_entry * (rank_p + 1) >= 2**62
 
 
 def test_integer_rank_small_cases():
@@ -170,6 +213,33 @@ def test_rank_law_breaks_at_half_chain():
 def test_critical_kernel_size_n8():
     # rank must reach the 7 equivalence classes; 2^(K-1) >= 7 first at K=4
     assert critical_kernel_size(8, 2) == 4
+
+
+# K = 1..K* for M = 2; N = 16 was cross-checked once against Bareiss on the
+# deduplicated matrices, which takes about 30 s
+RANK_SEQUENCES = {
+    8: (7, [1, 2, 4, 7]),
+    10: (13, [1, 2, 4, 8, 14]),
+    12: (35, [1, 2, 4, 8, 16, 30, 52]),
+    14: (85, [1, 2, 4, 8, 16, 32, 61, 113]),
+    16: (257, [1, 2, 4, 8, 16, 32, 64, 125, 239, 422]),
+}
+
+
+@pytest.mark.parametrize("n", sorted(RANK_SEQUENCES))
+def test_rank_scan_is_certified_without_fallback(n, bareiss_calls):
+    n_classes, ranks, k_star = rank_scan(n, 2)
+    assert (n_classes, ranks) == RANK_SEQUENCES[n]
+    assert k_star == len(ranks)
+    assert not bareiss_calls
+
+
+def test_rank_scan_runs_to_k_max_past_k_star():
+    n_classes, ranks, k_star = rank_scan(8, 2, k_max=8)
+    assert (n_classes, k_star) == (7, 4)
+    assert ranks[:4] == [1, 2, 4, 7] and len(ranks) == 8
+    n_classes, ranks, k_star = rank_scan(10, 2, k_max=3)
+    assert (ranks, k_star) == ([1, 2, 4], None)
 
 
 def test_rank_sequence_and_critical_kernel_size_n12():

@@ -24,6 +24,7 @@ from spinmotif.spinchain import (
     orbit,
     partition_classes,
     sector_states,
+    translation_representatives,
 )
 
 SIZES = st.sampled_from([(4, 2), (6, 2), (8, 2), (6, 3), (9, 3), (8, 4)])
@@ -140,6 +141,15 @@ def test_partition_matches_orbit_reference(n, m):
     # the label array gives the same partition as the tuple list
     assert np.array_equal(partition_classes(sector_states(n, m), m).class_ids,
                           part.class_ids)
+
+
+@pytest.mark.parametrize("n,m", [(2, 2), (4, 2), (8, 2), (10, 2), (12, 2),
+                                 (3, 3), (6, 3), (9, 3), (12, 3)])
+def test_translation_representatives_one_per_rotation_orbit(n, m):
+    basis = enumerate_basis(n, m)
+    reps = translation_representatives(sector_states(n, m), m)
+    reference = sorted({min(s[i:] + s[:i] for i in range(n)) for s in basis})
+    assert [tuple(r) for r in reps.tolist()] == reference
 
 
 def test_sector_states_match_permutation_reference():
