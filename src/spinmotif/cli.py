@@ -198,15 +198,14 @@ def exact_cmd(cfg: dict, out_dir: Path) -> None:
     k = int(cfg.get("K") or min(4, n // 2))
     _echo_config(out_dir, "exact", {"N": n, "M": m, "K": k})
     gs = exact.ground_state(n, m, gauge=(m == 2))
-    part = spinchain.partition_classes(gs.states, m)
     trunc_ks = range(1, min(k, n // 2) + 1)
     rdms = {kk: exact.reduced_density_matrix(gs, kk) for kk in sorted({*trunc_ks, k})}
     _atomic_write(out_dir / "exact.json", json.dumps({
         "N": n, "M": m, "K": k, "gauge": gs.gauge, "solver": gs.solver,
         "E0": gs.e0, "Emax": gs.emax, "gap_estimate": exact.gap_estimate(gs),
         "residual": gs.residual, "basis_size": len(gs.states),
-        "trace_check": float(np.trace(rdms[k].rho)),
-        "class_count_99": exact.cumulative_class_mass(gs, part, 0.99),
+        "sector_size": gs.sector_size, "trace_check": float(np.trace(rdms[k].rho)),
+        "class_count_99": exact.cumulative_class_mass(gs, gs.partition, 0.99),
     }, indent=2) + "\n")
     _write_mev(out_dir, exact.rdm_mev(rdms[k]), n)
     spectra = {kk: exact.entanglement_spectrum(rdm) for kk, rdm in rdms.items()}
@@ -348,7 +347,10 @@ def regress(cfg: dict, out_dir: Path) -> None:
         records = []
         for path in runs:
             doc = json.loads(_read_input(path))
-            for run in doc.get("runs", []):
+            entries = doc.get("runs", []) if isinstance(doc, dict) else None
+            if not isinstance(entries, list) or not all(isinstance(r, dict) for r in entries):
+                raise ValueError(f"{path}: need a JSON object whose 'runs' is a list of objects")
+            for run in entries:
                 if "delta_E_rel" in run:
                     records.append(run)
         kept, removed = analysis.outlier_filter(records, key="delta_E_rel")

@@ -19,13 +19,16 @@ from .spinchain import (
     EquivalenceClassPartition,
     SpinConfig,
     as_states,
+    canonical_codes,
     enumerate_basis,
     marshall_signs,
+    partition_classes,
     state_codes,
 )
 
-#: Largest sector solved with dense ``eigh``; bigger ones go to Lanczos.  Dense
-#: is faster at 90 states and Lanczos at 252 (one BLAS thread).
+#: Largest matrix diagonalized with dense ``eigh`` (the symmetric-sector matrix
+#: for M=2, the full sector Hamiltonian for M >= 3); bigger ones go to Lanczos.
+#: Dense is faster at 90 rows and Lanczos at 252 (one BLAS thread).
 DENSE_CAP = 150
 #: Eigen-residuals above ``RESIDUAL_TOL * max(1, |E|)`` fail the solve.
 RESIDUAL_TOL = 1e-9
@@ -95,12 +98,22 @@ class GroundStateSolution:
     gauge: bool
     residual: float
     solver: str
+    sector_size: int  # dimension of the matrix that was diagonalized
     signs: np.ndarray | None = field(default=None, repr=False)  # Marshall signs if gauged
+    classes: EquivalenceClassPartition | None = field(default=None, repr=False)
 
     @cached_property
     def codes(self) -> np.ndarray:
         """Sorted base-M codes of the basis states."""
         return state_codes(self.states, self.m)
+
+    @property
+    def partition(self) -> EquivalenceClassPartition:
+        """The orbit partition of the basis: the one the M=2 solve used, or
+        built on first use when M >= 3."""
+        if self.classes is None:
+            self.classes = partition_classes(self.states, self.m)
+        return self.classes
 
     def physical_amplitudes(self) -> np.ndarray:
         """Amplitudes with the Marshall gauge removed (sign per basis state)."""
@@ -115,54 +128,139 @@ def _check_residual(what: str, residual: float, scale: float) -> None:
         raise ResidualError(f"{what} residual {residual:.3e} exceeds {limit:.3e}")
 
 
+def sector_hamiltonian(reps: np.ndarray, sizes: np.ndarray) -> sp.csr_matrix:
+    """Gauged M=2 Hamiltonian on the fully symmetric sector.
+
+    ``reps`` are the classes' lex-min representatives as a sorted ``(C, N)``
+    label array and ``sizes`` the class sizes.  Basis vector c is
+    |c|^(-1/2) sum_{a in c} |a>, so H_sym[c, c'] = sqrt(|c|/|c'|) *
+    sum_{b in c'} H_g[r_c, b]: each swap from r_c into class c' (found by
+    canonical code) adds -sqrt(|c|/|c'|), and r_c's like-pair count sits on
+    the diagonal.  Entries are formed as -(swap count * |c|) / sqrt(|c| |c'|),
+    whose numerator counts the bonds between the two classes, so the matrix
+    is exactly symmetric.
+    """
+    n_classes, n = reps.shape
+    class_codes = state_codes(reps, 2)
+    sizes = sizes.astype(float)
+    diag = np.zeros(n_classes)
+    rows, cols = [], []
+    for i in range(n):
+        j = (i + 1) % n
+        unlike = reps[:, i] != reps[:, j]
+        diag += ~unlike
+        swapped = reps[unlike]
+        swapped[:, [i, j]] = swapped[:, [j, i]]
+        rows.append(np.flatnonzero(unlike))
+        cols.append(np.searchsorted(class_codes, canonical_codes(swapped, 2)))
+    pairs, counts = np.unique(np.concatenate(rows) * n_classes + np.concatenate(cols),
+                              return_counts=True)
+    r, c = np.divmod(pairs, n_classes)
+    hops = -counts * sizes[r] / np.sqrt(sizes[r] * sizes[c])
+    ids = np.arange(n_classes)
+    return sp.csr_matrix(
+        (np.concatenate([hops, diag]), (np.concatenate([r, ids]), np.concatenate([c, ids]))),
+        shape=(n_classes, n_classes),
+    )
+
+
+def _lowest_eigenpairs(h: sp.csr_matrix, dense_cap: int) -> tuple[np.ndarray, np.ndarray, str]:
+    """Ascending eigenvalues and the lowest eigenvector of a symmetric matrix.
+
+    Dense ``eigh`` (every eigenvalue) up to ``dense_cap`` rows; above it
+    restarted Lanczos (ARPACK) for the lowest two, from a fixed-seed start
+    vector so that runs replay.  ARPACK needs more than two rows.
+    """
+    dim = h.shape[0]
+    if dim <= max(dense_cap, 2):
+        evals, evecs = np.linalg.eigh(h.toarray())
+        return evals, evecs[:, 0], "dense"
+    v0 = np.random.default_rng(0).uniform(-1.0, 1.0, dim)
+    evals, evecs = spla.eigsh(h, k=2, which="SA", tol=0, v0=v0)
+    order = np.argsort(evals)
+    return evals[order], evecs[:, order[0]], "lanczos"
+
+
+def _certified_emax(h: sp.csr_matrix, n: int, sym: np.ndarray) -> float:
+    """E_max = N: ||sum_i P_i|| <= N, and ``sym`` (all ones, or the Marshall
+    signs when gauged) has eigenvalue N, which one matvec certifies."""
+    emax = float(n)
+    residual = float(np.linalg.norm(h @ sym - emax * sym)) / np.sqrt(len(sym))
+    _check_residual("E_max = N", residual, emax)
+    return emax
+
+
+def _perron_vector(evals: np.ndarray, y: np.ndarray, n: int) -> np.ndarray:
+    """The positive sector ground state, or :class:`DegenerateGroundStateError`.
+
+    The gauged H has off-diagonal entries -1 and a connected swap graph, so by
+    Perron-Frobenius its ground state is unique, strictly positive and (being
+    invariant under the symmetry group) in the symmetric sector.  Every other
+    sector eigenvector is orthogonal to it and so changes sign.
+    """
+    if len(evals) > 1 and evals[1] - evals[0] < DEGENERACY_TOL:
+        raise DegenerateGroundStateError(
+            f"sector gap {evals[1] - evals[0]:.3e} below tolerance at N={n}, M=2")
+    if y.sum() < 0:
+        y = -y
+    if y.min() < -1e-12 * y.max():
+        raise DegenerateGroundStateError(
+            f"sector ground state changes sign (min {y.min():.3e}, max "
+            f"{y.max():.3e}) at N={n}: not the Perron-Frobenius vector")
+    return y
+
+
 def ground_state(
     n: int, m: int, gauge: bool = False, dense_cap: int = DENSE_CAP
 ) -> GroundStateSolution:
     """Lowest eigenpair of the sector Hamiltonian, plus E_max.
 
-    Dense symmetric solver up to ``dense_cap`` states, restarted Lanczos
-    (ARPACK, from a fixed-seed start vector, so runs replay) above it.
-    Lanczos takes E_max = N without a second solve: ||sum_i P_i|| <= N, and
-    the fully symmetric state (the sign vector when gauged) has eigenvalue
-    N, which one matvec certifies.  Both residuals are checked and a failure
-    raises :class:`ResidualError`.
+    M=2 diagonalizes the gauged Hamiltonian on the fully symmetric sector (one
+    basis vector per equivalence class, :func:`sector_hamiltonian`), where the
+    Perron-Frobenius ground state lies; the sector gap and the sign of the
+    sector vector are checked, and E_max = N is certified by one matvec.
+    M >= 3 solves in the full space.  Either way the matrix is solved with
+    dense ``eigh`` up to ``dense_cap`` rows and with Lanczos above it, and the
+    ground state's residual on the full Hamiltonian is checked; a failed
+    residual raises :class:`ResidualError`.
     """
     basis = enumerate_basis(n, m)
     states = as_states(basis)
     h = build_hamiltonian(states, gauge=gauge)
-    signs = marshall_signs(states) if gauge else None
-    dim = len(states)
-    if dim <= dense_cap:
-        evals, evecs = np.linalg.eigh(h.toarray())
-        e0, e1, emax = float(evals[0]), float(evals[1]), float(evals[-1])
-        vec = evecs[:, 0]
-        solver = "dense"
+    signs = classes = None
+    if m == 2:
+        classes = partition_classes(states, m)
+        first = np.unique(classes.class_ids, return_index=True)[1]  # lex-min members
+        sizes = np.bincount(classes.class_ids)
+        h_sym = sector_hamiltonian(states[first], sizes)
+        evals, y, solver = _lowest_eigenpairs(h_sym, dense_cap)
+        y = _perron_vector(evals, y, n)
+        # positive in the gauge; the plain amplitudes carry the Marshall signs
+        vec = y[classes.class_ids] / np.sqrt(sizes[classes.class_ids])
+        if gauge:
+            signs = sym = marshall_signs(states)
+        else:
+            vec, sym = vec * marshall_signs(states), np.ones(len(states))
+        emax = _certified_emax(h, n, sym)
+        sector_size = len(sizes)
     else:
-        # not a symmetric start such as ones: Lanczos would stay in the
-        # trivial sector and e1 would miss the global second eigenvalue
-        v0 = np.random.default_rng(0).uniform(-1.0, 1.0, dim)
-        evals, evecs = spla.eigsh(h, k=2, which="SA", tol=0, v0=v0)
-        order = np.argsort(evals)
-        e0, e1 = float(evals[order[0]]), float(evals[order[1]])
-        vec = evecs[:, order[0]]
-        emax = float(n)
-        sym = np.ones(dim) if signs is None else signs  # norm sqrt(dim)
-        sym_residual = float(np.linalg.norm(h @ sym - emax * sym)) / np.sqrt(dim)
-        _check_residual("E_max = N", sym_residual, emax)
-        solver = "lanczos"
-    if m == 2 and n % 2 == 0 and e1 - e0 < DEGENERACY_TOL:
-        raise DegenerateGroundStateError(
-            f"gap {e1 - e0:.3e} below tolerance at N={n}, M={m}"
-        )
-    vec = vec / np.linalg.norm(vec)
-    # deterministic overall sign: majority-positive
-    if vec.sum() < 0:
-        vec = -vec
+        evals, vec, solver = _lowest_eigenpairs(h, dense_cap)
+        if solver == "dense":
+            emax = float(evals[-1])
+        else:
+            emax = _certified_emax(h, n, np.ones(len(states)))
+        vec = vec / np.linalg.norm(vec)
+        # deterministic overall sign: majority-positive
+        if vec.sum() < 0:
+            vec = -vec
+        sector_size = len(states)
+    e0 = float(evals[0])
     residual = float(np.linalg.norm(h @ vec - e0 * vec))
     _check_residual("ground-state", residual, e0)
     return GroundStateSolution(
         n=n, m=m, e0=e0, emax=emax, amplitudes=vec, basis=basis, states=states,
-        gauge=gauge, residual=residual, solver=solver, signs=signs,
+        gauge=gauge, residual=residual, solver=solver, sector_size=sector_size,
+        signs=signs, classes=classes,
     )
 
 

@@ -45,6 +45,8 @@ def _raise_memory_error(*args, **kwargs):
     pytest.param(["basis", "-n", "8", "--config", "list.json"], None, id="config-not-object"),
     pytest.param(["regress", "--config", "mev.json"], None, id="regress-mev-csv-missing"),
     pytest.param(["regress", "--config", "runs.json"], None, id="regress-runs-missing"),
+    pytest.param(["regress", "--runs", "list.json"], None, id="regress-runs-not-object"),
+    pytest.param(["regress", "--runs", "bad-run.json"], None, id="regress-run-not-object"),
 ])
 def test_invalid_config_is_exit_2(runner, tmp_path, monkeypatch, args, target):
     monkeypatch.chdir(tmp_path)
@@ -52,6 +54,7 @@ def test_invalid_config_is_exit_2(runner, tmp_path, monkeypatch, args, target):
     # a config file names input files that click's exists=True never sees
     (tmp_path / "mev.json").write_text(json.dumps({"mev_csv": "missing.csv"}))
     (tmp_path / "runs.json").write_text(json.dumps({"runs": ["missing.json"]}))
+    (tmp_path / "bad-run.json").write_text(json.dumps({"runs": [1]}))
     if target:
         monkeypatch.setattr(*target, _raise_memory_error)
     out = tmp_path / "x"
@@ -102,6 +105,7 @@ def test_exact_and_mev(runner, tmp_path):
     total = sum(float(l.split(",")[1]) for l in mev_lines[1:])
     assert total == pytest.approx(1.0, abs=1e-9)
     assert doc["trace_check"] == pytest.approx(1.0, abs=1e-12)
+    assert (doc["basis_size"], doc["sector_size"]) == (70, 7)
 
 
 def test_exact_outputs_match_library_with_one_rdm_per_size(runner, tmp_path, monkeypatch):
@@ -129,9 +133,10 @@ def test_exact_outputs_match_library_with_one_rdm_per_size(runner, tmp_path, mon
 
 
 def test_exact_replays_byte_for_byte(runner, tmp_path):
+    # N=16 has 257 classes, so the sector solve takes the Lanczos path
     outs = [tmp_path / "a", tmp_path / "b"]
     for out in outs:
-        result = runner.invoke(main, ["exact", "-n", "10", "-k", "4", "--out", str(out)])
+        result = runner.invoke(main, ["exact", "-n", "16", "-k", "4", "--out", str(out)])
         assert result.exit_code == 0, result.output
     assert json.loads((outs[0] / "exact.json").read_text())["solver"] == "lanczos"
     names = sorted(p.name for p in outs[0].iterdir())
@@ -196,6 +201,19 @@ def test_failed_residual_is_numerical_error(runner, tmp_path, monkeypatch, args)
     result = runner.invoke(main, args + ["--out", str(out)])
     assert result.exit_code == 3, result.output
     assert json.loads((out / "error.json").read_text())["error"] == "numerical"
+
+
+def test_sign_changing_sector_vector_is_numerical_error(runner, tmp_path, monkeypatch):
+    def second_eigenvector(h, dense_cap):
+        evals, evecs = np.linalg.eigh(h.toarray())
+        return evals, evecs[:, 1], "dense"
+
+    monkeypatch.setattr(exact, "_lowest_eigenpairs", second_eigenvector)
+    out = tmp_path / "s"
+    result = runner.invoke(main, ["exact", "-n", "10", "--out", str(out)])
+    assert result.exit_code == 3, result.output
+    error = json.loads((out / "error.json").read_text())
+    assert error["error"] == "numerical" and "sign" in error["message"]
 
 
 def test_diverged_seed_is_numerical_error(runner, tmp_path, monkeypatch):

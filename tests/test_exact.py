@@ -1,11 +1,15 @@
 """Exact-diagonalization oracle, reduced density matrices, thermal MEVs."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from spinmotif import exact
 from spinmotif.exact import (
+    DegenerateGroundStateError,
     NumericalCheckError,
     ResidualError,
     build_hamiltonian,
@@ -19,10 +23,17 @@ from spinmotif.exact import (
     gap_estimate,
     ground_state,
     reduced_density_matrix,
+    sector_hamiltonian,
     truncation_size,
 )
 from spinmotif.motif import all_motifs, conjugate, motif_index, motif_vector
-from spinmotif.spinchain import enumerate_basis, marshall_sign, partition_classes
+from spinmotif.spinchain import (
+    as_states,
+    enumerate_basis,
+    marshall_sign,
+    marshall_signs,
+    partition_classes,
+)
 
 
 def heisenberg_e0(n):
@@ -168,6 +179,67 @@ def test_lanczos_path_matches_dense():
     assert lanczos.e0 == pytest.approx(dense.e0, abs=1e-10)
     assert lanczos.emax == pytest.approx(dense.emax, abs=1e-10)
     assert lanczos.residual < 1e-9
+
+
+def full_space_ground_state(n, gauge):
+    """Lowest eigenpair of the whole M=2 sector Hamiltonian: dense ``eigh`` up
+    to N=12, ARPACK above.  The sign makes the gauged vector sum positive."""
+    states = as_states(enumerate_basis(n, 2))
+    h = build_hamiltonian(states, gauge=gauge)
+    if len(states) <= 1000:
+        evals, evecs = np.linalg.eigh(h.toarray())
+    else:
+        v0 = np.random.default_rng(1).uniform(-1.0, 1.0, len(states))
+        evals, evecs = spla.eigsh(h, k=1, which="SA", tol=0, v0=v0)
+    vec = evecs[:, 0]
+    gauged = vec if gauge else vec * marshall_signs(states)
+    return float(evals[0]), vec if gauged.sum() > 0 else -vec
+
+
+@pytest.mark.parametrize("n", [
+    *range(4, 17, 2),
+    pytest.param(18, marks=pytest.mark.slow),
+    pytest.param(20, marks=pytest.mark.slow),
+])
+@pytest.mark.parametrize("gauge", [True, False])
+def test_sector_solve_matches_full_space(n, gauge):
+    gs = ground_state(n, 2, gauge=gauge)
+    e0, vec = full_space_ground_state(n, gauge)
+    assert abs(gs.e0 - e0) < 1e-10
+    assert np.abs(gs.amplitudes - vec).max() < 1e-12
+    ref = dataclasses.replace(gs, amplitudes=vec)
+    for k in range(1, 5):
+        diff = reduced_density_matrix(gs, k).rho - reduced_density_matrix(ref, k).rho
+        assert np.abs(diff).max() < 1e-12
+
+
+@pytest.mark.parametrize("n", range(2, 13, 2))
+def test_sector_hamiltonian_is_projected_gauged_hamiltonian(n):
+    states = as_states(enumerate_basis(n, 2))
+    part = partition_classes(states, 2)
+    sizes = np.bincount(part.class_ids)
+    first = np.unique(part.class_ids, return_index=True)[1]
+    h_sym = sector_hamiltonian(states[first], sizes).toarray()
+    # P: normalized class indicators, one column per class
+    p = np.zeros((len(states), len(part)))
+    p[np.arange(len(states)), part.class_ids] = 1.0 / np.sqrt(sizes[part.class_ids])
+    h_g = build_hamiltonian(states, gauge=True).toarray()
+    assert np.abs(h_sym - p.T @ h_g @ p).max() < 1e-14
+    assert np.array_equal(h_sym, h_sym.T)
+
+
+def test_sector_certificates_raise(monkeypatch):
+    def second_eigenvector(h, dense_cap):
+        evals, evecs = np.linalg.eigh(h.toarray())
+        return evals, evecs[:, 1], "dense"
+
+    with monkeypatch.context() as patch:
+        patch.setattr(exact, "_lowest_eigenpairs", second_eigenvector)
+        with pytest.raises(DegenerateGroundStateError, match="sign"):
+            ground_state(10, 2, gauge=True)
+    monkeypatch.setattr(exact, "DEGENERACY_TOL", 1e3)
+    with pytest.raises(DegenerateGroundStateError, match="gap"):
+        ground_state(10, 2, gauge=True)
 
 
 def test_hamiltonian_is_symmetric_and_row_sums():
