@@ -110,10 +110,10 @@ class MaxEntParams:
         return len(self.motifs[0])
 
 
-def maxent_logpsi(mp: MaxEntParams, basis: list[SpinConfig], m: int = 2) -> np.ndarray:
-    """ln psi of each basis state: sum over the independent set of
-    lambda * count, minus ln Z."""
-    return mp.lam @ motif_count_rows(basis, mp.motifs, m) - mp.ln_z
+def maxent_logpsi(mp: MaxEntParams, states: np.ndarray, m: int = 2) -> np.ndarray:
+    """ln psi of each row of an ``(S, N)`` label array: sum over the
+    independent set of lambda * count, minus ln Z."""
+    return mp.lam @ motif_count_rows(states, mp.motifs, m) - mp.ln_z
 
 
 def grandsum(p: CnnParams) -> float:
@@ -189,7 +189,7 @@ class MaxEntFitError(RuntimeError):
 
 def fit_maxent(
     targets: dict[Motif, float],
-    basis: list[SpinConfig],
+    basis: np.ndarray,
     k: int,
     *,
     m: int = 2,
@@ -198,12 +198,13 @@ def fit_maxent(
 ) -> MaxEntParams:
     """Fit multipliers so the model MEVs match targets on the independent set.
 
+    ``basis`` is the ``(S, N)`` label array the model is normalized over.
     Targets use the probability convention (diagonal of rho_K); the model is
     P(s) proportional to exp(2 * sum lambda * count).  Damped Newton on the
     convex dual; the step solves the Hessian system by least squares so the
     rank-deficient K ~ N limit still converges on the residual.
     """
-    n = len(basis[0])
+    n = basis.shape[1]
     ops = independent_operator_set(k, m)
     missing = [mo for mo in ops if mo not in targets]
     if missing:
@@ -249,8 +250,8 @@ def fit_maxent(
     return MaxEntParams(motifs=tuple(ops), lam=lam, ln_z=ln_z)
 
 
-def maxent_state_probs(mp: MaxEntParams, basis: list[SpinConfig], m: int = 2) -> np.ndarray:
-    """Normalized P(s) = psi^2 over the basis for a fitted model."""
+def maxent_state_probs(mp: MaxEntParams, basis: np.ndarray, m: int = 2) -> np.ndarray:
+    """Normalized P(s) = psi^2 over an ``(S, N)`` label basis for a fitted model."""
     logpsi = maxent_logpsi(mp, basis, m)
     w = np.exp(2.0 * (logpsi - logpsi.max()))
     return w / w.sum()

@@ -164,17 +164,17 @@ def basis(cfg: dict, out_dir: Path) -> None:
     """Export the zero-magnetization basis with equivalence-class ids."""
     n, m = int(_require(cfg, "N")), int(cfg.get("M", 2))
     _echo_config(out_dir, "basis", {"N": n, "M": m})
-    b = spinchain.enumerate_basis(n, m)
-    part = spinchain.partition_classes(b, m)
+    states = spinchain.enumerate_basis(n, m)
+    part = spinchain.partition_classes(states, m)
     _write_csv(out_dir / "basis.csv", ["state", "class_id"],
-               [[_state_str(s), c] for s, c in zip(b, part.class_ids.tolist())])
+               [[_state_str(s), c] for s, c in zip(states.tolist(), part.class_ids.tolist())])
     bound = spinchain.class_count_lower_bound(n, m)
     _atomic_write(out_dir / "classes.json", json.dumps({
-        "N": n, "M": m, "n_states": len(b), "n_classes": len(part),
+        "N": n, "M": m, "n_states": len(states), "n_classes": len(part),
         "lower_bound": f"{bound.numerator}/{bound.denominator}",
         "lower_bound_float": float(bound),
     }, indent=2) + "\n")
-    click.echo(f"{len(b)} states, {len(part)} classes -> {out_dir}")
+    click.echo(f"{len(states)} states, {len(part)} classes -> {out_dir}")
 
 
 @command("motif-rank", SITES, SPECIES, click.option("--k-max", type=int, default=None))
@@ -328,7 +328,13 @@ def regress(cfg: dict, out_dir: Path) -> None:
     did_anything = False
     if cfg.get("mev_csv"):
         motifs, values = [], []
-        for row in csv.DictReader(_read_input(cfg["mev_csv"]).splitlines()):
+        rows = csv.DictReader(_read_input(cfg["mev_csv"]).splitlines())
+        missing = {"motif", "probability"} - set(rows.fieldnames or ())
+        if missing:
+            raise ValueError(f"MEV table has no {', '.join(sorted(missing))} column")
+        for row in rows:
+            if None in (row["motif"], row["probability"]):
+                raise ValueError(f"MEV table line {rows.line_num} has too few fields")
             motifs.append(tuple(int(c) for c in row["motif"]))
             values.append(float(row["probability"]))
         design, names = analysis.feature_design(motifs)

@@ -17,8 +17,6 @@ import scipy.sparse.linalg as spla
 from .motif import Motif, all_motifs, motif_index
 from .spinchain import (
     EquivalenceClassPartition,
-    SpinConfig,
-    as_states,
     canonical_codes,
     enumerate_basis,
     marshall_signs,
@@ -47,18 +45,15 @@ class ResidualError(NumericalCheckError):
     pass
 
 
-def build_hamiltonian(
-    basis: list[SpinConfig] | np.ndarray, gauge: bool = False
-) -> sp.csr_matrix:
-    """Sparse H = sum of neighbor exchanges (periodic).  With ``gauge`` the
-    Marshall similarity transform is applied (M=2 only), making all
-    off-diagonal entries -1.
+def build_hamiltonian(states: np.ndarray, gauge: bool = False) -> sp.csr_matrix:
+    """Sparse H = sum of neighbor exchanges (periodic) on a lex-sorted
+    ``(S, N)`` label basis.  With ``gauge`` the Marshall similarity transform
+    is applied (M=2 only), making all off-diagonal entries -1.
 
     One vectorized pass per bond: the states with unlike labels on the bond
     get their swapped code by digit arithmetic and their row by
     ``searchsorted`` in the sorted code array.
     """
-    states = as_states(basis)
     dim, n = states.shape
     m = int(states.max()) + 1
     codes = state_codes(states, m)
@@ -93,7 +88,6 @@ class GroundStateSolution:
     e0: float
     emax: float
     amplitudes: np.ndarray  # normalized, over the lex basis
-    basis: list[SpinConfig] = field(repr=False)
     states: np.ndarray = field(repr=False)  # the basis as an (S, N) uint8 label array
     gauge: bool
     residual: float
@@ -190,7 +184,7 @@ def _certified_emax(h: sp.csr_matrix, n: int, sym: np.ndarray) -> float:
     return emax
 
 
-def _perron_vector(evals: np.ndarray, y: np.ndarray, n: int) -> np.ndarray:
+def _perron_vector(y: np.ndarray, n: int) -> np.ndarray:
     """The positive sector ground state, or :class:`DegenerateGroundStateError`.
 
     The gauged H has off-diagonal entries -1 and a connected swap graph, so by
@@ -198,9 +192,6 @@ def _perron_vector(evals: np.ndarray, y: np.ndarray, n: int) -> np.ndarray:
     invariant under the symmetry group) in the symmetric sector.  Every other
     sector eigenvector is orthogonal to it and so changes sign.
     """
-    if len(evals) > 1 and evals[1] - evals[0] < DEGENERACY_TOL:
-        raise DegenerateGroundStateError(
-            f"sector gap {evals[1] - evals[0]:.3e} below tolerance at N={n}, M=2")
     if y.sum() < 0:
         y = -y
     if y.min() < -1e-12 * y.max():
@@ -217,24 +208,32 @@ def ground_state(
 
     M=2 diagonalizes the gauged Hamiltonian on the fully symmetric sector (one
     basis vector per equivalence class, :func:`sector_hamiltonian`), where the
-    Perron-Frobenius ground state lies; the sector gap and the sign of the
-    sector vector are checked, and E_max = N is certified by one matvec.
-    M >= 3 solves in the full space.  Either way the matrix is solved with
-    dense ``eigh`` up to ``dense_cap`` rows and with Lanczos above it, and the
+    Perron-Frobenius ground state lies; the sign of the sector vector is
+    checked, and E_max = N is certified by one matvec.  M >= 3 solves in the
+    full space and makes the first amplitude above 1e-6 of the largest
+    positive.  Either way the matrix is solved with dense ``eigh`` up to
+    ``dense_cap`` rows and with Lanczos above it, a gap below
+    ``DEGENERACY_TOL`` raises :class:`DegenerateGroundStateError`, and the
     ground state's residual on the full Hamiltonian is checked; a failed
     residual raises :class:`ResidualError`.
     """
-    basis = enumerate_basis(n, m)
-    states = as_states(basis)
+    states = enumerate_basis(n, m)
     h = build_hamiltonian(states, gauge=gauge)
     signs = classes = None
     if m == 2:
         classes = partition_classes(states, m)
         first = np.unique(classes.class_ids, return_index=True)[1]  # lex-min members
         sizes = np.bincount(classes.class_ids)
-        h_sym = sector_hamiltonian(states[first], sizes)
-        evals, y, solver = _lowest_eigenpairs(h_sym, dense_cap)
-        y = _perron_vector(evals, y, n)
+        evals, vec, solver = _lowest_eigenpairs(sector_hamiltonian(states[first], sizes),
+                                                dense_cap)
+    else:
+        evals, vec, solver = _lowest_eigenpairs(h, dense_cap)
+    if len(evals) > 1 and evals[1] - evals[0] < DEGENERACY_TOL:
+        raise DegenerateGroundStateError(
+            f"{'sector ' if m == 2 else ''}gap {evals[1] - evals[0]:.3e} below "
+            f"tolerance at N={n}, M={m}")
+    if m == 2:
+        y = _perron_vector(vec, n)
         # positive in the gauge; the plain amplitudes carry the Marshall signs
         vec = y[classes.class_ids] / np.sqrt(sizes[classes.class_ids])
         if gauge:
@@ -244,21 +243,22 @@ def ground_state(
         emax = _certified_emax(h, n, sym)
         sector_size = len(sizes)
     else:
-        evals, vec, solver = _lowest_eigenpairs(h, dense_cap)
         if solver == "dense":
             emax = float(evals[-1])
         else:
             emax = _certified_emax(h, n, np.ones(len(states)))
         vec = vec / np.linalg.norm(vec)
-        # deterministic overall sign: majority-positive
-        if vec.sum() < 0:
+        # the amplitudes sum to ~0 (orthogonal to the all-ones E_max vector),
+        # so the overall sign is fixed by the first clearly nonzero amplitude
+        mags = np.abs(vec)
+        if vec[np.argmax(mags > 1e-6 * mags.max())] < 0:
             vec = -vec
         sector_size = len(states)
     e0 = float(evals[0])
     residual = float(np.linalg.norm(h @ vec - e0 * vec))
     _check_residual("ground-state", residual, e0)
     return GroundStateSolution(
-        n=n, m=m, e0=e0, emax=emax, amplitudes=vec, basis=basis, states=states,
+        n=n, m=m, e0=e0, emax=emax, amplitudes=vec, states=states,
         gauge=gauge, residual=residual, solver=solver, sector_size=sector_size,
         signs=signs, classes=classes,
     )

@@ -1,6 +1,8 @@
 """Motif (cyclic K-substring) counting, motif count matrices, and exact rank.
 
-Motifs are ordered lexicographically over label sequences; all rank and
+Motifs are label tuples ordered lexicographically.  Counts are taken over a
+basis given as an ``(S, N)`` label array and come back as int64 arrays with
+one row per motif and one column per state.  All rank and
 class-average computations use exact integer/rational arithmetic, with floats
 allowed only as cross-checks.  The rank of a count matrix comes from
 Gauss-Jordan elimination modulo one 31-bit prime in int64, accepted only with
@@ -13,7 +15,6 @@ elimination over the integers.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
@@ -21,7 +22,6 @@ import numpy as np
 
 from .spinchain import (
     SpinConfig,
-    as_states,
     enumerate_basis,
     orbit,
     partition_classes,
@@ -85,43 +85,27 @@ def motif_vector(s: SpinConfig, k: int, m: int) -> np.ndarray:
     The vector has m**k entries in lexicographic motif order and sums to N
     (one motif per cyclic window).
     """
-    return _window_counts(as_states([s]), k, m)[:, 0]
-
-
-@dataclass
-class MotifCountMatrix:
-    """Integer matrix of motif counts: m**k rows (motifs) x basis columns."""
-
-    entries: np.ndarray  # int64, shape (m**k, n_states)
-    n: int
-    m: int
-    k: int
-
-    @property
-    def motifs(self) -> list[Motif]:
-        return all_motifs(self.m, self.k)
+    return _window_counts(np.asarray([s]), k, m)[:, 0]
 
 
 def motif_count_matrix(
-    basis: list[SpinConfig] | np.ndarray, k: int, m: int,
-    max_entries: int = 200_000_000,
-) -> MotifCountMatrix:
-    states = as_states(basis)
+    states: np.ndarray, k: int, m: int, max_entries: int = 200_000_000
+) -> np.ndarray:
+    """Cyclic K-motif counts of every row of an ``(S, N)`` label array: an
+    ``(m**k, S)`` int64 matrix, rows in lexicographic motif order."""
     if m**k * len(states) > max_entries:
         raise MemoryError(f"motif count matrix {m**k} x {len(states)} exceeds cap")
-    return MotifCountMatrix(_window_counts(states, k, m), n=states.shape[1], m=m, k=k)
+    return _window_counts(states, k, m)
 
 
-def motif_count_rows(
-    basis: list[SpinConfig] | np.ndarray, motifs: Sequence[Motif], m: int
-) -> np.ndarray:
+def motif_count_rows(states: np.ndarray, motifs: Sequence[Motif], m: int) -> np.ndarray:
     """The rows of the motif count matrix for the given distinct motifs of one
     length, as a ``(len(motifs), S)`` int64 array.  The other rows are never
     built, so memory scales with the S x N window codes, not with m**k."""
     if not motifs or len({len(mo) for mo in motifs}) > 1 or len(set(motifs)) < len(motifs):
         raise ValueError("need distinct motifs of one length")
     codes = [motif_index(mo, m) for mo in motifs]
-    return _window_counts(as_states(basis), len(motifs[0]), m, codes)
+    return _window_counts(states, len(motifs[0]), m, codes)
 
 
 def _bareiss_rank(rows: list[list[int]]) -> int:
@@ -195,7 +179,7 @@ def _left_kernel_mod_p(distinct: np.ndarray) -> tuple[int, np.ndarray, np.ndarra
     return rank, np.asarray(pivots, dtype=np.intp), y_pivot
 
 
-def integer_rank(matrix: MotifCountMatrix | np.ndarray) -> int:
+def integer_rank(matrix: np.ndarray) -> int:
     """Exact rank over the rationals of an integer matrix.
 
     Repeated columns, repeated rows and zero rows do not change the rank, so
@@ -208,7 +192,7 @@ def integer_rank(matrix: MotifCountMatrix | np.ndarray) -> int:
     the non-pivot rows, hence independent, so the rank over Q is at most r_p
     as well.  Otherwise the rank comes from :func:`_bareiss_rank`.
     """
-    entries = np.asarray(matrix.entries if isinstance(matrix, MotifCountMatrix) else matrix)
+    entries = np.asarray(matrix)
     if entries.size == 0:
         return 0
     distinct = np.unique(np.unique(entries, axis=1), axis=0)
@@ -230,10 +214,9 @@ def integer_rank(matrix: MotifCountMatrix | np.ndarray) -> int:
     return _bareiss_rank(distinct.tolist())
 
 
-def float_rank(matrix: MotifCountMatrix | np.ndarray, rtol: float = 1e-8) -> int:
+def float_rank(matrix: np.ndarray, rtol: float = 1e-8) -> int:
     """Float-SVD numerical rank; cross-check only, never the source of truth."""
-    entries = matrix.entries if isinstance(matrix, MotifCountMatrix) else matrix
-    svals = np.linalg.svd(np.asarray(entries, dtype=float), compute_uv=False)
+    svals = np.linalg.svd(np.asarray(matrix, dtype=float), compute_uv=False)
     if svals.size == 0 or svals[0] == 0.0:
         return 0
     return int(np.sum(svals > rtol * svals[0]))
@@ -249,7 +232,7 @@ def rank_scan(n: int, m: int, k_max: int | None = None) -> tuple[int, list[int],
     are built on one state per translation orbit: the same distinct columns,
     hence the same rank, from N-fold fewer columns.
     """
-    states = as_states(enumerate_basis(n, m))
+    states = enumerate_basis(n, m)
     n_classes = len(partition_classes(states, m))
     representatives = translation_representatives(states, m)
     ranks: list[int] = []
@@ -320,12 +303,13 @@ def independent_operator_set(k: int, m: int = 2) -> list[Motif]:
     return [mo for mo in all_motifs(2, k) if mo[0] == 0]
 
 
-def class_averaged_counts(cls: tuple[SpinConfig, ...], motif: Motif, m: int) -> Fraction:
-    """Exact mean motif count over an equivalence class."""
-    if not cls:
+def class_averaged_counts(members: np.ndarray, motif: Motif, m: int) -> Fraction:
+    """Exact mean motif count over an equivalence class, given as the
+    ``(S, N)`` label array of its members."""
+    if not len(members):
         raise ValueError("empty equivalence class")
-    total = int(motif_count_rows(cls, [motif], m).sum())
-    return Fraction(total, len(cls))
+    total = int(motif_count_rows(members, [motif], m).sum())
+    return Fraction(total, len(members))
 
 
 def motif_symmetry_classes(k: int, m: int) -> list[tuple[Motif, ...]]:

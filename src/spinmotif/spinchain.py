@@ -1,18 +1,18 @@
 """Zero-magnetization spin-chain basis, symmetry group, and equivalence classes.
 
-States are tuples of species labels in ``{0..M-1}`` with each label appearing
-exactly ``N/M`` times; whole bases are also kept as lex-sorted ``(S, N)`` uint8
-label arrays with base-M integer codes.  The symmetry group is generated by
-cyclic translations, reflections about any pivot, and permutations of the
-species labels.
+A state is a sequence of species labels in ``{0..M-1}`` with each label
+appearing exactly ``N/M`` times.  A basis is one lex-sorted ``(S, N)`` uint8
+label array, and each row has a base-M integer code; single states built or
+checked by hand (symmetry ops, orbits, the Marshall sign) are label tuples.
+The symmetry group is generated by cyclic translations, reflections about any
+pivot, and permutations of the species labels.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from itertools import chain, permutations
+from itertools import permutations
 from math import factorial
 
 import numpy as np
@@ -45,7 +45,7 @@ def _validate_sizes(n: int, m: int) -> None:
         raise ValueError(f"N={n} not divisible by M={m}")
 
 
-def sector_states(n: int, m: int, cap: int = DEFAULT_BASIS_CAP) -> np.ndarray:
+def enumerate_basis(n: int, m: int, cap: int = DEFAULT_BASIS_CAP) -> np.ndarray:
     """All zero-magnetization states as a lex-sorted ``(S, n)`` uint8 label array.
 
     Built one site at a time: every valid prefix is extended by each label it
@@ -70,22 +70,6 @@ def sector_states(n: int, m: int, cap: int = DEFAULT_BASIS_CAP) -> np.ndarray:
         states[:, site] = label[idx]
         idx = parent[idx]
     return states
-
-
-def enumerate_basis(n: int, m: int, cap: int = DEFAULT_BASIS_CAP) -> list[SpinConfig]:
-    """All zero-magnetization states of n sites and m species as tuples,
-    lexicographic.  Raises :class:`BasisTooLargeError` when the basis would
-    exceed ``cap``.
-    """
-    return list(zip(*sector_states(n, m, cap).T.tolist()))
-
-
-def as_states(basis: list[SpinConfig] | np.ndarray) -> np.ndarray:
-    """A basis (tuples or a label array) as a ``(S, N)`` uint8 label array."""
-    if isinstance(basis, np.ndarray):
-        return basis.astype(np.uint8, copy=False)
-    flat = bytes(chain.from_iterable(basis))  # one pass, no per-tuple arrays
-    return np.frombuffer(flat, dtype=np.uint8).reshape(len(basis), -1)
 
 
 def state_codes(states: np.ndarray, m: int) -> np.ndarray:
@@ -179,30 +163,11 @@ def orbit(s: SpinConfig, m: int) -> set[SpinConfig]:
 
 @dataclass
 class EquivalenceClassPartition:
-    """Orbit partition of the basis; classes ordered by their lex-min representative.
+    """Orbit partition of a lex-sorted basis: ``class_ids[i]`` is the class of
+    basis state ``i``, and classes are ordered by their lex-min representative."""
 
-    ``class_ids[i]`` is the class of basis state ``i``; the tuple views
-    ``classes`` and ``class_of`` are built on first use.
-    """
-
-    states: np.ndarray = field(repr=False)  # (S, N) uint8, the partitioned basis
     class_ids: np.ndarray  # (S,) class index per basis state
     n_classes: int
-
-    @cached_property
-    def classes(self) -> list[tuple[SpinConfig, ...]]:
-        order = np.argsort(self.class_ids, kind="stable")
-        bounds = np.cumsum(np.bincount(self.class_ids, minlength=self.n_classes))[:-1]
-        members = np.split(self.states[order], bounds)
-        return [tuple(map(tuple, cls.tolist())) for cls in members]
-
-    @cached_property
-    def class_of(self) -> dict[SpinConfig, int]:
-        return dict(zip(map(tuple, self.states.tolist()), self.class_ids.tolist()))
-
-    @property
-    def representatives(self) -> list[SpinConfig]:
-        return [cls[0] for cls in self.classes]
 
     def __len__(self) -> int:
         return self.n_classes
@@ -241,18 +206,15 @@ def canonical_codes(states: np.ndarray, m: int) -> np.ndarray:
     return best
 
 
-def partition_classes(
-    basis: list[SpinConfig] | np.ndarray, m: int
-) -> EquivalenceClassPartition:
+def partition_classes(states: np.ndarray, m: int) -> EquivalenceClassPartition:
     """Partition a lex-sorted basis into orbits under translations,
     reflections and relabelings.  Representatives are the lexicographically
     smallest members, and a class's canonical code is its representative's
     code, so sorting the distinct canonical codes orders the classes by
     representative.
     """
-    states = as_states(basis)
     reps, class_ids = np.unique(canonical_codes(states, m), return_inverse=True)
-    return EquivalenceClassPartition(states, class_ids, len(reps))
+    return EquivalenceClassPartition(class_ids, len(reps))
 
 
 def class_count_lower_bound(n: int, m: int) -> Fraction:

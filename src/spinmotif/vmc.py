@@ -20,7 +20,7 @@ from .ansatz import (
     project_grandsum,
     unpack_gradient,
 )
-from .spinchain import SpinConfig
+from .spinchain import SpinConfig, enumerate_basis, state_codes
 
 ALGORITHMS = ("original", "symforce-init", "symforce-traj")
 
@@ -186,10 +186,10 @@ def energy_gradient(
 
 
 def exact_energy_gradient(
-    p: CnnParams, basis: list[SpinConfig]
+    p: CnnParams, basis: np.ndarray
 ) -> tuple[float, np.ndarray, float]:
-    """Full-batch gradient of the Rayleigh quotient, summing over the basis
-    with psi^2 weights.  Feasible only at small N."""
+    """Full-batch gradient of the Rayleigh quotient, summing over an
+    ``(S, N)`` label basis with psi^2 weights.  Feasible only at small N."""
     states = np.asarray(basis, dtype=np.intp)
     logpsi = cnn_logpsi_batch(p, states)
     w = np.exp(2.0 * (logpsi - logpsi.max()))
@@ -202,8 +202,9 @@ def exact_energy_gradient(
     return unpack_gradient(p, g)
 
 
-def exact_energy(p: CnnParams, basis: list[SpinConfig]) -> float:
-    """Rayleigh quotient of the gauged Hamiltonian via full-basis summation."""
+def exact_energy(p: CnnParams, basis: np.ndarray) -> float:
+    """Rayleigh quotient of the gauged Hamiltonian via summation over an
+    ``(S, N)`` label basis."""
     states = np.asarray(basis, dtype=np.intp)
     logpsi = cnn_logpsi_batch(p, states)
     w = np.exp(2.0 * (logpsi - logpsi.max()))
@@ -288,22 +289,18 @@ def invariant_dynamics_check(
     """Max deviation of the one-step gradient-flow direction over orbit pairs.
 
     Computes delta ln psi(s) for every basis state from the full-batch exact
-    gradient and compares (s, Ts) translation pairs and (s, Ls) relabel pairs.
+    gradient and compares (s, Ts) translation pairs and (s, Ls) label-flip
+    pairs (M=2); the partner rows are found by code.
     """
-    from .spinchain import Relabel, Translate, apply_symmetry, enumerate_basis
-
-    basis = enumerate_basis(n, p.m)
-    index = {s: i for i, s in enumerate(basis)}
-    gv, gw, gb = exact_energy_gradient(p, basis)
+    if p.m != 2:
+        raise ValueError("the label-flip pairs are defined for M=2")
+    states = enumerate_basis(n, p.m)
+    codes = state_codes(states, p.m)
+    gv, gw, gb = exact_energy_gradient(p, states)
     flat = np.concatenate([[gv], gw.ravel(), [gb]])
-    o = logpsi_gradient_batch(p, np.asarray(basis, dtype=np.intp))
-    delta = -eta * (o @ flat)
-
+    delta = -eta * (logpsi_gradient_batch(p, states) @ flat)
     out = {}
-    for name, op in (("translate", Translate(1)), ("relabel", Relabel((1, 0)))):
-        dev = 0.0
-        for s, d in zip(basis, delta):
-            t = apply_symmetry(op, s)
-            dev = max(dev, abs(d - delta[index[t]]))
-        out[name] = dev
+    for name, image in (("translate", np.roll(states, -1, axis=1)), ("relabel", 1 - states)):
+        partner = np.searchsorted(codes, state_codes(image, p.m))
+        out[name] = float(np.abs(delta - delta[partner]).max())
     return out

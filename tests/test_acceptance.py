@@ -293,7 +293,7 @@ def test_criterion_13_truncation_scaling(gs_cache):
 def test_criterion_14_cumulative_class_mass(gs_cache):
     counts = []
     for n in (8, 10, 12, 14, 16):
-        part = partition_classes(gs_cache[n].basis, 2)
+        part = partition_classes(gs_cache[n].states, 2)
         counts.append(cumulative_class_mass(gs_cache[n], part, 0.99))
     increasing = all(a < b for a, b in zip(counts, counts[1:]))
     x = np.column_stack([np.ones(5), np.arange(8, 17, 2, dtype=float)])
@@ -330,14 +330,14 @@ def test_criterion_16_maxent_fit(gs_cache):
     ok = True
     for k in (2, 3):
         targets = exact_mev(gs_cache[8], k)
-        mp = fit_maxent(targets, gs_cache[8].basis, k, tol=1e-8)
+        mp = fit_maxent(targets, gs_cache[8].states, k, tol=1e-8)
         ok &= len(mp.motifs) == 2 ** (k - 1)
         # residual recheck against the fit targets
         from spinmotif.ansatz import maxent_state_probs
 
-        probs = maxent_state_probs(mp, gs_cache[8].basis)
+        probs = maxent_state_probs(mp, gs_cache[8].states)
         model = np.zeros(2**k)
-        for s, pr in zip(gs_cache[8].basis, probs):
+        for s, pr in zip(gs_cache[8].states, probs):
             model += pr * motif_vector(s, k, 2) / 8.0
         resid = max(abs(model[sum(x * 2**i for i, x in enumerate(reversed(mo)))]
                         - targets[mo]) for mo in mp.motifs)

@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from conftest import tuples
 from hypothesis import given, settings, strategies as st
 
 from spinmotif.ansatz import (
@@ -39,7 +40,7 @@ def cnn_params(draw, k_range=(2, 4), scale=1.0):
     return CnnParams(w=w, b=flat[-1], v=draw(st.floats(0.5, 1.5)))
 
 
-BASIS8 = enumerate_basis(8, 2)
+BASIS8 = tuples(enumerate_basis(8, 2))
 
 
 def test_params_json_roundtrip():
@@ -143,13 +144,13 @@ def test_relu_subgradient_at_zero_is_zero():
 class TestMaxEnt:
     def test_fit_reproduces_targets(self):
         gs = ground_state(8, 2, gauge=True)
-        basis = gs.basis
+        basis = gs.states
         for k in (2, 3):
             targets = exact_mev(gs, k)
             mp = fit_maxent(targets, basis, k)
             probs = maxent_state_probs(mp, basis)
             model = np.zeros(2**k)
-            for s, pr in zip(basis, probs):
+            for s, pr in zip(tuples(basis), probs):
                 model += pr * motif_vector(s, k, 2) / 8.0
             for mo in mp.motifs:
                 idx = sum(x * 2**i for i, x in enumerate(reversed(mo)))
@@ -158,8 +159,8 @@ class TestMaxEnt:
     def test_full_k_limit_recovers_state_probabilities(self):
         gs = ground_state(6, 2, gauge=True)
         targets = exact_mev(gs, 6)
-        mp = fit_maxent(targets, gs.basis, 6)
-        probs = maxent_state_probs(mp, gs.basis)
+        mp = fit_maxent(targets, gs.states, 6)
+        probs = maxent_state_probs(mp, gs.states)
         assert np.allclose(probs, gs.amplitudes**2, atol=1e-10)
 
     def test_logpsi_counts_only_the_model_motifs(self):
@@ -170,14 +171,15 @@ class TestMaxEnt:
                           ln_z=0.75)
         counts = [[sum((s + s)[i : i + 26] == mo for i in range(26)) for s in basis]
                   for mo in mp.motifs]
-        assert np.allclose(maxent_logpsi(mp, basis), mp.lam @ np.array(counts) - mp.ln_z)
+        assert np.allclose(maxent_logpsi(mp, np.array(basis, dtype=np.uint8)),
+                           mp.lam @ np.array(counts) - mp.ln_z)
 
     def test_missing_targets_rejected(self):
         gs = ground_state(6, 2, gauge=True)
         targets = exact_mev(gs, 2)
         targets.pop((0, 1))
         with pytest.raises(ValueError):
-            fit_maxent(targets, gs.basis, 2)
+            fit_maxent(targets, gs.states, 2)
 
 
 @given(cnn_params(scale=2.0))

@@ -44,6 +44,8 @@ def _raise_memory_error(*args, **kwargs):
     pytest.param(["basis", "-n", "8", "--config", "missing.json"], None, id="config-missing"),
     pytest.param(["basis", "-n", "8", "--config", "list.json"], None, id="config-not-object"),
     pytest.param(["regress", "--config", "mev.json"], None, id="regress-mev-csv-missing"),
+    pytest.param(["regress", "--mev-csv", "columns.csv"], None, id="regress-mev-csv-columns"),
+    pytest.param(["regress", "--mev-csv", "short.csv"], None, id="regress-mev-csv-short-row"),
     pytest.param(["regress", "--config", "runs.json"], None, id="regress-runs-missing"),
     pytest.param(["regress", "--runs", "list.json"], None, id="regress-runs-not-object"),
     pytest.param(["regress", "--runs", "bad-run.json"], None, id="regress-run-not-object"),
@@ -55,6 +57,8 @@ def test_invalid_config_is_exit_2(runner, tmp_path, monkeypatch, args, target):
     (tmp_path / "mev.json").write_text(json.dumps({"mev_csv": "missing.csv"}))
     (tmp_path / "runs.json").write_text(json.dumps({"runs": ["missing.json"]}))
     (tmp_path / "bad-run.json").write_text(json.dumps({"runs": [1]}))
+    (tmp_path / "columns.csv").write_text("a,b\n01,0.5\n")
+    (tmp_path / "short.csv").write_text("motif,probability\n01,0.5\n10\n")
     if target:
         monkeypatch.setattr(*target, _raise_memory_error)
     out = tmp_path / "x"

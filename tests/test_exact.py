@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from conftest import tuples
 
 from spinmotif import exact
 from spinmotif.exact import (
@@ -28,7 +29,6 @@ from spinmotif.exact import (
 )
 from spinmotif.motif import all_motifs, conjugate, motif_index, motif_vector
 from spinmotif.spinchain import (
-    as_states,
     enumerate_basis,
     marshall_sign,
     marshall_signs,
@@ -115,7 +115,7 @@ def reference_rdm(gs, k):
     """Env-map build: group amplitudes by the environment string."""
     amps = gs.physical_amplitudes()
     env_map = {}
-    for s, a in zip(gs.basis, amps):
+    for s, a in zip(tuples(gs.states), amps):
         env_map.setdefault(s[k:], []).append((motif_index(s[:k], gs.m), float(a)))
     rho = np.zeros((gs.m**k, gs.m**k))
     for entries in env_map.values():
@@ -130,9 +130,9 @@ def reference_rdm(gs, k):
     for gauge in ((False, True) if m == 2 else (False,))
 ])
 def test_hamiltonian_matches_tuple_reference(n, m, gauge):
-    basis = enumerate_basis(n, m)
-    h = build_hamiltonian(basis, gauge=gauge)
-    ref = reference_hamiltonian(basis, gauge=gauge)
+    states = enumerate_basis(n, m)
+    h = build_hamiltonian(states, gauge=gauge)
+    ref = reference_hamiltonian(tuples(states), gauge=gauge)
     assert h.nnz == ref.nnz
     assert np.array_equal(h.toarray(), ref.toarray())
 
@@ -184,7 +184,7 @@ def test_lanczos_path_matches_dense():
 def full_space_ground_state(n, gauge):
     """Lowest eigenpair of the whole M=2 sector Hamiltonian: dense ``eigh`` up
     to N=12, ARPACK above.  The sign makes the gauged vector sum positive."""
-    states = as_states(enumerate_basis(n, 2))
+    states = enumerate_basis(n, 2)
     h = build_hamiltonian(states, gauge=gauge)
     if len(states) <= 1000:
         evals, evecs = np.linalg.eigh(h.toarray())
@@ -215,7 +215,7 @@ def test_sector_solve_matches_full_space(n, gauge):
 
 @pytest.mark.parametrize("n", range(2, 13, 2))
 def test_sector_hamiltonian_is_projected_gauged_hamiltonian(n):
-    states = as_states(enumerate_basis(n, 2))
+    states = enumerate_basis(n, 2)
     part = partition_classes(states, 2)
     sizes = np.bincount(part.class_ids)
     first = np.unique(part.class_ids, return_index=True)[1]
@@ -240,6 +240,24 @@ def test_sector_certificates_raise(monkeypatch):
     monkeypatch.setattr(exact, "DEGENERACY_TOL", 1e3)
     with pytest.raises(DegenerateGroundStateError, match="gap"):
         ground_state(10, 2, gauge=True)
+    with pytest.raises(DegenerateGroundStateError, match="gap"):
+        ground_state(6, 3)
+
+
+@pytest.mark.parametrize("n", [6, 9])
+def test_m3_sign_does_not_follow_the_rounding_of_the_sum(monkeypatch, n):
+    # the M=3 ground state sums to ~1e-15, so a shift of the solver's vector
+    # by +-1e-13 along all-ones decides a sum-based sign rule
+    solve = exact._lowest_eigenpairs
+    amplitudes = []
+    for shift in (1e-13, -1e-13):
+        def shifted(h, dense_cap, shift=shift):
+            evals, vec, solver = solve(h, dense_cap)
+            return evals, vec + shift, solver
+
+        monkeypatch.setattr(exact, "_lowest_eigenpairs", shifted)
+        amplitudes.append(ground_state(n, 3).amplitudes)
+    assert np.abs(amplitudes[0] - amplitudes[1]).max() < 1e-12
 
 
 def test_hamiltonian_is_symmetric_and_row_sums():
@@ -275,7 +293,7 @@ def test_mev_matches_direct_window_average():
     amps = gs.physical_amplitudes()
     mev = exact_mev(gs, 2)
     direct = np.zeros(4)
-    for s, a in zip(gs.basis, amps):
+    for s, a in zip(tuples(gs.states), amps):
         direct += a * a * motif_vector(s, 2, 2) / 8.0
     for mo, val in mev.items():
         assert val == pytest.approx(direct[motif_index(mo, 2)], abs=1e-12)
@@ -339,7 +357,7 @@ def test_calibrate_beta_recovers_planted_value():
 
 def test_cumulative_class_mass_bounds():
     gs = ground_state(8, 2, gauge=True)
-    part = partition_classes(gs.basis, 2)
+    part = partition_classes(gs.states, 2)
     c50 = cumulative_class_mass(gs, part, 0.5)
     c99 = cumulative_class_mass(gs, part, 0.99)
     assert 1 <= c50 <= c99 <= len(part)

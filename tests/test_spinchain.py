@@ -6,6 +6,7 @@ from itertools import permutations
 
 import numpy as np
 import pytest
+from conftest import tuples
 from hypothesis import given, settings, strategies as st
 
 from spinmotif.spinchain import (
@@ -23,7 +24,6 @@ from spinmotif.spinchain import (
     marshall_signs,
     orbit,
     partition_classes,
-    sector_states,
     translation_representatives,
 )
 
@@ -39,8 +39,9 @@ def test_basis_size_matches_multinomial():
 @given(SIZES)
 def test_enumeration_count_and_order(size):
     n, m = size
-    basis = enumerate_basis(n, m)
-    assert len(basis) == basis_size(n, m)
+    states = enumerate_basis(n, m)
+    assert states.dtype == np.uint8 and states.shape == (basis_size(n, m), n)
+    basis = tuples(states)
     assert basis == sorted(basis)
     assert len(set(basis)) == len(basis)
     for s in basis:
@@ -60,7 +61,7 @@ def test_invalid_sizes_rejected():
 @st.composite
 def _state(draw):
     n, m = draw(SIZES)
-    basis = enumerate_basis(n, m)
+    basis = tuples(enumerate_basis(n, m))
     return m, draw(st.sampled_from(basis))
 
 
@@ -103,17 +104,19 @@ def test_orbit_is_closed_and_contains_origin(sm):
 @settings(deadline=None)
 def test_partition_is_a_partition(size):
     n, m = size
-    basis = enumerate_basis(n, m)
-    part = partition_classes(basis, m)
-    assert sum(len(c) for c in part.classes) == len(basis)
-    assert set().union(*map(set, part.classes)) == set(basis)
-    for idx, cls in enumerate(part.classes):
-        assert cls[0] == min(cls)
-        for s in cls:
-            assert part.class_of[s] == idx
-    # representatives come out in lex order
-    reps = part.representatives
-    assert reps == sorted(reps)
+    states = enumerate_basis(n, m)
+    part = partition_classes(states, m)
+    ids = part.class_ids.tolist()
+    assert len(ids) == len(states) and set(ids) == set(range(len(part)))
+    # every class is closed under the group generators
+    basis = tuples(states)
+    index = {s: i for i, s in enumerate(basis)}
+    for s, c in zip(basis, ids):
+        for g in group_generators(m):
+            assert ids[index[apply_symmetry(g, s)]] == c
+    # representatives (first members in the lex basis) come out in lex order
+    first = np.unique(part.class_ids, return_index=True)[1]
+    assert (np.diff(first) > 0).all()
 
 
 def reference_classes(basis, m):
@@ -130,36 +133,31 @@ def reference_classes(basis, m):
 @pytest.mark.parametrize("n,m", [(2, 2), (4, 2), (6, 2), (8, 2), (10, 2), (12, 2),
                                  (3, 3), (6, 3), (9, 3), (4, 4), (8, 4)])
 def test_partition_matches_orbit_reference(n, m):
-    basis = enumerate_basis(n, m)
-    part = partition_classes(basis, m)
-    assert part.classes == reference_classes(basis, m)
-    assert len(part) == len(part.classes)
-    for idx, cls in enumerate(part.classes):
-        for s in cls:
-            assert part.class_of[s] == idx
-    assert part.class_ids.tolist() == [part.class_of[s] for s in basis]
-    # the label array gives the same partition as the tuple list
-    assert np.array_equal(partition_classes(sector_states(n, m), m).class_ids,
-                          part.class_ids)
+    states = enumerate_basis(n, m)
+    basis = tuples(states)
+    part = partition_classes(states, m)
+    reference = reference_classes(basis, m)
+    assert len(part) == len(reference)
+    class_of = {s: idx for idx, cls in enumerate(reference) for s in cls}
+    assert part.class_ids.tolist() == [class_of[s] for s in basis]
 
 
 @pytest.mark.parametrize("n,m", [(2, 2), (4, 2), (8, 2), (10, 2), (12, 2),
                                  (3, 3), (6, 3), (9, 3), (12, 3)])
 def test_translation_representatives_one_per_rotation_orbit(n, m):
-    basis = enumerate_basis(n, m)
-    reps = translation_representatives(sector_states(n, m), m)
-    reference = sorted({min(s[i:] + s[:i] for i in range(n)) for s in basis})
-    assert [tuple(r) for r in reps.tolist()] == reference
+    states = enumerate_basis(n, m)
+    reps = translation_representatives(states, m)
+    reference = sorted({min(s[i:] + s[:i] for i in range(n)) for s in tuples(states)})
+    assert tuples(reps) == reference
 
 
 def test_sector_states_match_permutation_reference():
     for n, m in [(2, 2), (8, 2), (6, 3), (8, 4)]:
-        states = sector_states(n, m)
+        states = enumerate_basis(n, m)
         assert states.dtype == np.uint8
         labels = tuple(label for label in range(m) for _ in range(n // m))
         reference = sorted(set(permutations(labels)))
-        assert [tuple(r) for r in states.tolist()] == reference
-        assert enumerate_basis(n, m) == reference
+        assert tuples(states) == reference
 
 
 def test_known_class_counts():
@@ -188,13 +186,13 @@ def test_marshall_sign_values():
 
 
 def test_marshall_signs_match_scalar():
-    basis = enumerate_basis(10, 2)
-    assert marshall_signs(sector_states(10, 2)).tolist() == [marshall_sign(s) for s in basis]
+    states = enumerate_basis(10, 2)
+    assert marshall_signs(states).tolist() == [marshall_sign(s) for s in tuples(states)]
     with pytest.raises(ValueError):
-        marshall_signs(sector_states(6, 3))
+        marshall_signs(enumerate_basis(6, 3))
 
 
-@given(st.sampled_from(enumerate_basis(8, 2)))
+@given(st.sampled_from(tuples(enumerate_basis(8, 2))))
 def test_marshall_sign_flips_on_unlike_adjacent_swap(s):
     n = len(s)
     for i in range(n):

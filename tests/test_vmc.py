@@ -4,10 +4,17 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from conftest import tuples
 
-from spinmotif.ansatz import CnnParams, cnn_logpsi_batch, grandsum, project_grandsum
+from spinmotif.ansatz import (
+    CnnParams,
+    cnn_logpsi_batch,
+    grandsum,
+    logpsi_gradient_batch,
+    project_grandsum,
+)
 from spinmotif.exact import build_hamiltonian, ground_state
-from spinmotif.spinchain import enumerate_basis
+from spinmotif.spinchain import Relabel, Translate, apply_symmetry, enumerate_basis
 from spinmotif.vmc import (
     SamplerConfig,
     TrainConfig,
@@ -81,7 +88,7 @@ def test_sampler_stays_in_sector_and_mixes():
 def test_sampler_matches_exact_distribution(proposal):
     """Chi-squared-style check of the empirical state histogram at N=6."""
     basis = enumerate_basis(6, 2)
-    index = {s: i for i, s in enumerate(basis)}
+    index = {s: i for i, s in enumerate(tuples(basis))}
     p = _random_params(2, seed=2, scale=0.5)
     logpsi = cnn_logpsi_batch(p, np.asarray(basis, dtype=np.intp))
     target = np.exp(2 * (logpsi - logpsi.max()))
@@ -155,6 +162,38 @@ def test_invariant_dynamics_projected_vs_broken():
     broken = invariant_dynamics_check(replace(p, b=p.b + 1.0), 8)
     assert broken["translate"] < 1e-9  # architecture symmetry survives
     assert broken["relabel"] > 1e-6
+
+
+def reference_invariant_dynamics(p, n, eta=1.0):
+    """Orbit-pair deviations by the tuple loop: apply_symmetry over a dict index."""
+    basis = tuples(enumerate_basis(n, p.m))
+    index = {s: i for i, s in enumerate(basis)}
+    gv, gw, gb = exact_energy_gradient(p, np.asarray(basis, dtype=np.uint8))
+    flat = np.concatenate([[gv], gw.ravel(), [gb]])
+    delta = -eta * (logpsi_gradient_batch(p, np.asarray(basis, dtype=np.intp)) @ flat)
+    out = {}
+    for name, op in (("translate", Translate(1)), ("relabel", Relabel((1, 0)))):
+        dev = 0.0
+        for s, d in zip(basis, delta):
+            dev = max(dev, abs(d - delta[index[apply_symmetry(op, s)]]))
+        out[name] = dev
+    return out
+
+
+@pytest.mark.parametrize("n", [6, 8])
+@pytest.mark.parametrize("projected", [True, False])
+def test_invariant_dynamics_matches_tuple_reference(n, projected):
+    for seed in range(3):
+        p = _random_params(3, seed=20 + seed, scale=1.0)
+        if projected:
+            p = project_grandsum(p)
+        dev = invariant_dynamics_check(p, n, eta=0.5)
+        ref = reference_invariant_dynamics(p, n, eta=0.5)
+        assert dev.keys() == ref.keys()
+        for name in ref:
+            assert abs(dev[name] - ref[name]) < 1e-12
+    with pytest.raises(ValueError):
+        invariant_dynamics_check(CnnParams(w=np.zeros((2, 3)), b=0.0, v=1.0), 6)
 
 
 def test_init_params_ranges():
