@@ -1,7 +1,9 @@
 """Wavefunction ansatzes in the unified exponential form.
 
 The shallow CNN, the correlator-product (CPS) and the maximum-entropy ansatz
-all evaluate to ln psi(s) = sum over motifs of coefficient * count.  One-hot
+all evaluate to ln psi(s) = sum over motifs of coefficient * count.
+:func:`cps_logpsi` is that motif form; :func:`cnn_as_cps` gives the CNN's
+coefficients.  States are the rows of a ``(B, N)`` label array.  One-hot
 channel layout: a window starting at i contributes
 ``sum_j w[j][label(s_{i+j})] + b`` before the ReLU.
 """
@@ -13,8 +15,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .motif import Motif, all_motifs, independent_operator_set, motif_count_rows
-from .spinchain import SpinConfig
+from .motif import (
+    Motif,
+    all_motifs,
+    independent_operator_set,
+    motif_count_matrix,
+    motif_count_rows,
+)
 
 
 @dataclass(frozen=True)
@@ -58,43 +65,30 @@ def preactivations(p: CnnParams, s_arr: np.ndarray) -> np.ndarray:
     return p.w[np.arange(p.k), win].sum(axis=-1) + p.b
 
 
-def cnn_logpsi(p: CnnParams, s: SpinConfig) -> float:
-    pre = preactivations(p, np.asarray(s, dtype=np.intp))
-    return float(p.v * np.maximum(pre, 0.0).sum())
-
-
 def cnn_logpsi_batch(p: CnnParams, states: np.ndarray) -> np.ndarray:
     """ln psi for a (B, N) array of states."""
     pre = preactivations(p, np.asarray(states, dtype=np.intp))
     return p.v * np.maximum(pre, 0.0).sum(axis=-1)
 
 
-def motif_activations(p: CnnParams) -> np.ndarray:
-    """sigma(w . s' + b) for every motif s', lexicographic order."""
-    motifs = np.array(all_motifs(p.m, p.k), dtype=np.intp)
-    pre = p.w[np.arange(p.k), motifs].sum(axis=1) + p.b
-    return np.maximum(pre, 0.0)
-
-
-def cnn_logpsi_motif_form(p: CnnParams, counts: np.ndarray) -> float:
-    counts = np.asarray(counts)
-    if counts.shape[0] != p.m**p.k:
-        raise ValueError(f"expected {p.m**p.k} motif counts, got {counts.shape[0]}")
-    return float(p.v * np.dot(motif_activations(p), counts))
-
-
-def cps_logpsi(coeffs: np.ndarray, counts: np.ndarray) -> float:
-    """ln psi = sum of correlator log-coefficients weighted by motif counts."""
+def cps_logpsi(coeffs: np.ndarray, states: np.ndarray, m: int) -> np.ndarray:
+    """ln psi of each row of a ``(B, N)`` label array: the correlator
+    log-coefficients, one per K-motif in lexicographic order, weighted by the
+    row's motif counts.  K is read off ``len(coeffs) == m**K``."""
     coeffs = np.asarray(coeffs, dtype=float)
-    counts = np.asarray(counts)
-    if coeffs.shape != counts.shape:
-        raise ValueError("coefficient/count length mismatch")
-    return float(np.dot(coeffs, counts))
+    k = 1
+    while m**k < len(coeffs):
+        k += 1
+    if len(coeffs) != m**k:
+        raise ValueError(f"need M**K coefficients with K >= 1, got {len(coeffs)} for M={m}")
+    return coeffs @ motif_count_matrix(states, k, m)
 
 
 def cnn_as_cps(p: CnnParams) -> np.ndarray:
-    """CPS coefficients v*sigma(w.s'+b) reproducing the CNN exactly."""
-    return p.v * motif_activations(p)
+    """CPS coefficients v*sigma(w.s'+b), motifs s' in lex order: the CNN exactly."""
+    motifs = np.array(all_motifs(p.m, p.k), dtype=np.intp)
+    pre = p.w[np.arange(p.k), motifs].sum(axis=1) + p.b
+    return p.v * np.maximum(pre, 0.0)
 
 
 @dataclass(frozen=True)
@@ -129,23 +123,6 @@ def project_grandsum(p: CnnParams) -> CnnParams:
     return replace(p, w=p.w - c / (2.0 * p.k))
 
 
-def logpsi_gradient(p: CnnParams, s: SpinConfig) -> tuple[float, np.ndarray, float]:
-    """(d/dv, d/dw, d/db) of ln psi at s.  ReLU subgradient at 0 is 0."""
-    s_arr = np.asarray(s, dtype=np.intp)
-    n = s_arr.shape[0]
-    win = _windows(s_arr, p.k)  # (N, K)
-    pre = p.w[np.arange(p.k), win].sum(axis=1) + p.b
-    act = np.maximum(pre, 0.0)
-    firing = pre > 0.0
-    dv = float(act.sum())
-    db = float(p.v * firing.sum())
-    dw = np.zeros_like(p.w)
-    for i in range(n):
-        if firing[i]:
-            dw[np.arange(p.k), win[i]] += p.v
-    return dv, dw, db
-
-
 def logpsi_gradient_batch(p: CnnParams, states: np.ndarray) -> np.ndarray:
     """Flattened (v, w, b) log-derivatives for a (B, N) state batch; shape (B, 2+K*M)."""
     states = np.asarray(states, dtype=np.intp)
@@ -164,11 +141,11 @@ def unpack_gradient(p: CnnParams, flat: np.ndarray) -> tuple[float, np.ndarray, 
     return float(flat[0]), flat[1:-1].reshape(p.k, p.m).copy(), float(flat[-1])
 
 
-def linear_cnn_logpsi(p: CnnParams, s: SpinConfig) -> float:
-    """CNN output with sigma = identity; constant across states by the
-    linear-activation theorem."""
-    pre = preactivations(p, np.asarray(s, dtype=np.intp))
-    return float(p.v * pre.sum())
+def linear_cnn_logpsi(p: CnnParams, states: np.ndarray) -> np.ndarray:
+    """CNN output with sigma = identity for a (B, N) array of states;
+    constant across states by the linear-activation theorem."""
+    pre = preactivations(p, np.asarray(states, dtype=np.intp))
+    return p.v * pre.sum(axis=-1)
 
 
 def linear_activation_constant(p: CnnParams, n: int) -> float:

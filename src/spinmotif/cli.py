@@ -5,8 +5,9 @@ writes a config echo with a content hash into the output directory so results
 can be replayed exactly.  Exit codes, the same for every subcommand:
 
 - 0: success.
-- 2: invalid configuration (a ``ValueError`` such as a bad size, a missing
-  option or an unreadable config file, or a ``MemoryError``); writes
+- 2: invalid configuration (a ``ValueError`` such as a bad size, an integer
+  option that is not a whole number or is out of range, a missing option or
+  an unreadable config file, or a ``MemoryError``); writes
   ``error.json`` with ``{"error": "invalid-config"}``.
 - 3: numerical failure (``exact.NumericalCheckError``, or a diverged training
   seed); writes ``error.json`` with ``{"error": "numerical"}``.
@@ -113,10 +114,20 @@ def _write_mev(out: Path, table: dict, n: int) -> None:
                [[_state_str(mo), f"{v!r}", f"{v * n!r}"] for mo, v in table.items()])
 
 
-def _require(cfg: dict, key: str):
-    if key not in cfg or cfg[key] is None:
-        raise ValueError(f"missing required option: {key}")
-    return cfg[key]
+def _int(value, name: str, lo: float = -np.inf, hi: float = np.inf) -> int:
+    """The config value of option ``name`` as an int in [lo, hi].  An integral
+    float counts as a whole number; null is a missing option, and anything
+    else that is not a whole number, bools included, or a value out of range
+    raises ``ValueError``."""
+    if value is None:
+        raise ValueError(f"missing required option: {name}")
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be a whole number, got {value!r}")
+    if not lo <= value <= hi:
+        raise ValueError(f"{name} = {value} outside [{lo}, {hi}]")
+    return value
 
 
 @click.group()
@@ -162,7 +173,7 @@ def command(name: str, *options):
 @command("basis", SITES, SPECIES)
 def basis(cfg: dict, out_dir: Path) -> None:
     """Export the zero-magnetization basis with equivalence-class ids."""
-    n, m = int(_require(cfg, "N")), int(cfg.get("M", 2))
+    n, m = _int(cfg.get("N"), "N"), _int(cfg.get("M", 2), "M")
     _echo_config(out_dir, "basis", {"N": n, "M": m})
     states = spinchain.enumerate_basis(n, m)
     part = spinchain.partition_classes(states, m)
@@ -180,9 +191,10 @@ def basis(cfg: dict, out_dir: Path) -> None:
 @command("motif-rank", SITES, SPECIES, click.option("--k-max", type=int, default=None))
 def motif_rank(cfg: dict, out_dir: Path) -> None:
     """Rank of the motif count matrix per K, plus the critical kernel size."""
-    n, m = int(_require(cfg, "N")), int(cfg.get("M", 2))
+    n, m = _int(cfg.get("N"), "N"), _int(cfg.get("M", 2), "M")
+    k_max = _int(cfg.get("k_max", n), "k_max", 1, n)
     _echo_config(out_dir, "motif-rank", {"N": n, "M": m, "k_max": cfg.get("k_max")})
-    n_classes, ranks, k_star = motif.rank_scan(n, m, int(cfg.get("k_max") or n))
+    n_classes, ranks, k_star = motif.rank_scan(n, m, k_max)
     rows = [{"K": k, "rank": rank, "class_count": n_classes}
             for k, rank in enumerate(ranks, start=1)]
     _atomic_write(out_dir / "rank_report.json", json.dumps({
@@ -194,8 +206,8 @@ def motif_rank(cfg: dict, out_dir: Path) -> None:
 @command("exact", SITES, SPECIES, KERNEL)
 def exact_cmd(cfg: dict, out_dir: Path) -> None:
     """Ground-state solve with MEVs, spectra, truncation and class-mass curves."""
-    n, m = int(_require(cfg, "N")), int(cfg.get("M", 2))
-    k = int(cfg.get("K") or min(4, n // 2))
+    n, m = _int(cfg.get("N"), "N"), _int(cfg.get("M", 2), "M")
+    k = _int(cfg.get("K", min(4, n // 2)), "K", 1, n)
     _echo_config(out_dir, "exact", {"N": n, "M": m, "K": k})
     gs = exact.ground_state(n, m, gauge=(m == 2))
     trunc_ks = range(1, min(k, n // 2) + 1)
@@ -219,8 +231,8 @@ def exact_cmd(cfg: dict, out_dir: Path) -> None:
 @command("mev", SITES, SPECIES, KERNEL)
 def mev(cfg: dict, out_dir: Path) -> None:
     """Exact MEV table for one (N, K)."""
-    n, m = int(_require(cfg, "N")), int(cfg.get("M", 2))
-    k = int(_require(cfg, "K"))
+    n, m = _int(cfg.get("N"), "N"), _int(cfg.get("M", 2), "M")
+    k = _int(cfg.get("K"), "K", 1, n)
     _echo_config(out_dir, "mev", {"N": n, "M": m, "K": k})
     table = exact.exact_mev(exact.ground_state(n, m, gauge=(m == 2)), k)
     _write_mev(out_dir, table, n)
@@ -232,12 +244,12 @@ def mev(cfg: dict, out_dir: Path) -> None:
                       help="calibrate beta against exact MEVs at this N"))
 def cft(cfg: dict, out_dir: Path) -> None:
     """Thermal entanglement-Hamiltonian MEVs, optionally with beta calibration."""
-    k = int(_require(cfg, "K"))
+    k = _int(cfg.get("K"), "K", 1)
     _echo_config(out_dir, "cft", {"K": k, "beta": cfg.get("beta"),
                                   "calibrate_N": cfg.get("calibrate_N")})
     b = cfg.get("beta")
     if cfg.get("calibrate_N"):
-        ref_gs = exact.ground_state(int(cfg["calibrate_N"]), 2, gauge=True)
+        ref_gs = exact.ground_state(_int(cfg["calibrate_N"], "calibrate_N"), 2, gauge=True)
         b = exact.calibrate_beta(k, exact.exact_mev(ref_gs, k))
     if b is None:
         raise ValueError("need --beta or --calibrate-n")
@@ -259,18 +271,20 @@ def cft(cfg: dict, out_dir: Path) -> None:
                       help="single seed, used when --seeds is not given"))
 def train(cfg: dict, out_dir: Path) -> None:
     """Train the CNN across seeds; writes trajectories and a summary."""
-    n = int(_require(cfg, "N"))
-    k = int(cfg.get("K", 4))
+    n = _int(cfg.get("N"), "N")
+    k = _int(cfg.get("K", 4), "K", 1, n)
     algo = cfg.get("algorithm", "symforce-traj")
-    if isinstance(cfg.get("seeds"), str):
-        seed_list = [int(x) for x in cfg["seeds"].split(",") if x.strip()]
-    else:
-        seed_list = list(cfg.get("seeds") or [int(cfg.get("seed") or 0)])
+    seeds = cfg.get("seeds") or [cfg.get("seed") or 0]
+    if isinstance(seeds, str):
+        seeds = [int(x) for x in seeds.split(",") if x.strip()]
+    if not isinstance(seeds, list):
+        raise ValueError(f"seeds must be a list or comma-separated text, got {seeds!r}")
+    seed_list = [_int(x, "seed") for x in seeds]
     run_cfg = {
         "N": n, "K": k, "algorithm": algo,
-        "eta": float(cfg.get("eta", 0.02)), "n_opt": int(cfg.get("n_opt", 10)),
-        "max_iter": int(cfg.get("max_iter", 500)),
-        "n_samples": int(cfg.get("n_samples", 1000)), "seeds": seed_list,
+        "eta": float(cfg.get("eta", 0.02)), "n_opt": _int(cfg.get("n_opt", 10), "n_opt"),
+        "max_iter": _int(cfg.get("max_iter", 500), "max_iter"),
+        "n_samples": _int(cfg.get("n_samples", 1000), "n_samples"), "seeds": seed_list,
     }
     digest = _echo_config(out_dir, "train", run_cfg)
 
@@ -358,6 +372,9 @@ def regress(cfg: dict, out_dir: Path) -> None:
                 raise ValueError(f"{path}: need a JSON object whose 'runs' is a list of objects")
             for run in entries:
                 if "delta_E_rel" in run:
+                    value = run["delta_E_rel"]
+                    if isinstance(value, bool) or not isinstance(value, (int, float)):
+                        raise ValueError(f"{path}: delta_E_rel must be a number, got {value!r}")
                     records.append(run)
         kept, removed = analysis.outlier_filter(records, key="delta_E_rel")
         click.echo(f"outlier filter removed {removed} of {len(records)} runs")

@@ -303,11 +303,9 @@ def exact_mev(gs: GroundStateSolution, k: int, counts: bool = False) -> dict[Mot
     return rdm_mev(reduced_density_matrix(gs, k), gs.n if counts else 1.0)
 
 
-def entanglement_spectrum(rho: np.ndarray | ReducedDensityMatrix,
-                          cutoff: float = 1e-30) -> np.ndarray:
+def entanglement_spectrum(rdm: ReducedDensityMatrix, cutoff: float = 1e-30) -> np.ndarray:
     """epsilon_alpha = -ln(eigenvalues of rho) above cutoff, ascending."""
-    mat = rho.rho if isinstance(rho, ReducedDensityMatrix) else rho
-    evals = np.linalg.eigvalsh(mat)
+    evals = np.linalg.eigvalsh(rdm.rho)
     evals = evals[evals > cutoff]
     return np.sort(-np.log(evals))
 

@@ -1,15 +1,15 @@
 """Motif (cyclic K-substring) counting, motif count matrices, and exact rank.
 
-Motifs are label tuples ordered lexicographically.  Counts are taken over a
-basis given as an ``(S, N)`` label array and come back as int64 arrays with
-one row per motif and one column per state.  All rank and
-class-average computations use exact integer/rational arithmetic, with floats
-allowed only as cross-checks.  The rank of a count matrix comes from
-Gauss-Jordan elimination modulo one 31-bit prime in int64, accepted only with
-an integer certificate: left-kernel vectors Y with ``Y @ A == 0`` checked
-exactly under a stated overflow bound (Dixon, Numer. Math. 40, 137 (1982)).
-A matrix the certificate does not cover falls back to fraction-free Bareiss
-elimination over the integers.
+Motifs are label tuples ordered lexicographically.  Counts are taken over
+states given as the rows of an ``(S, N)`` label array, a single state being a
+one-row array, and come back as int64 arrays with one row per motif and one
+column per state.  All rank and class-average computations use exact
+integer/rational arithmetic, with floats allowed only as cross-checks.  The
+rank of a count matrix comes from Gauss-Jordan elimination modulo one 31-bit
+prime in int64, accepted only with an integer certificate: left-kernel
+vectors Y with ``Y @ A == 0`` checked exactly under a stated overflow bound
+(Dixon, Numer. Math. 40, 137 (1982)).  A matrix the certificate does not
+cover falls back to fraction-free Bareiss elimination over the integers.
 """
 
 from __future__ import annotations
@@ -21,9 +21,8 @@ from itertools import product
 import numpy as np
 
 from .spinchain import (
-    SpinConfig,
+    canonical_codes,
     enumerate_basis,
-    orbit,
     partition_classes,
     translation_representatives,
 )
@@ -77,15 +76,6 @@ def _window_counts(
         rows, n_rows = np.where(wanted[slot] == codes, slot, -1), len(wanted)
     flat = rows * n_states + np.arange(n_states)[:, None]
     return np.bincount(flat[rows >= 0], minlength=n_rows * n_states).reshape(n_rows, n_states)
-
-
-def motif_vector(s: SpinConfig, k: int, m: int) -> np.ndarray:
-    """Cyclic occurrence counts of every length-k motif in s.
-
-    The vector has m**k entries in lexicographic motif order and sums to N
-    (one motif per cyclic window).
-    """
-    return _window_counts(np.asarray([s]), k, m)[:, 0]
 
 
 def motif_count_matrix(
@@ -254,13 +244,9 @@ def critical_kernel_size(n: int, m: int) -> int:
     return k_star
 
 
-def _alternating_prefix(k: int, m: int) -> Motif:
-    return tuple(i % m for i in range(k - 1))
-
-
-def ambiguous_pair(n: int, k: int, m: int = 2) -> tuple[SpinConfig, SpinConfig]:
-    """Two valid states with identical K-motif vectors that are not related by
-    any symmetry.
+def ambiguous_pair(n: int, k: int, m: int = 2) -> np.ndarray:
+    """Two valid states with identical K-motif counts that are not related by
+    any symmetry, as the rows of a ``(2, n)`` uint8 label array.
 
     Built as A-x-A-y-A-z vs A-y-A-x-A-z with A an alternating prefix of length
     K-1; the segments x, y, z are chosen greedily (lexicographic tie-break) to
@@ -270,7 +256,7 @@ def ambiguous_pair(n: int, k: int, m: int = 2) -> tuple[SpinConfig, SpinConfig]:
         raise ValueError(f"construction needs K < N/3, got K={k}, N={n}")
     if n % m != 0:
         raise ValueError(f"N={n} not divisible by M={m}")
-    a = _alternating_prefix(k, m)
+    a = tuple(i % m for i in range(k - 1))
     rest = n - 3 * (k - 1)
     target = n // m
     for lx in range(1, rest - 1):
@@ -284,14 +270,14 @@ def ambiguous_pair(n: int, k: int, m: int = 2) -> tuple[SpinConfig, SpinConfig]:
                         s1 = a + x + a + y + a + z
                         if any(s1.count(lbl) != target for lbl in range(m)):
                             continue
-                        s2 = a + y + a + x + a + z
-                        if not np.array_equal(
-                            motif_vector(s1, k, m), motif_vector(s2, k, m)
-                        ):
+                        pair = np.array([s1, a + y + a + x + a + z], dtype=np.uint8)
+                        counts = motif_count_matrix(pair, k, m)
+                        if not np.array_equal(counts[:, 0], counts[:, 1]):
                             continue
-                        if s2 in orbit(s1, m):
+                        canonical = canonical_codes(pair, m)
+                        if canonical[0] == canonical[1]:
                             continue
-                        return s1, s2
+                        return pair
     raise RuntimeError(f"no ambiguous pair found for N={n}, K={k}, M={m}")
 
 

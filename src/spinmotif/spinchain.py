@@ -2,10 +2,11 @@
 
 A state is a sequence of species labels in ``{0..M-1}`` with each label
 appearing exactly ``N/M`` times.  A basis is one lex-sorted ``(S, N)`` uint8
-label array, and each row has a base-M integer code; single states built or
-checked by hand (symmetry ops, orbits, the Marshall sign) are label tuples.
-The symmetry group is generated by cyclic translations, reflections about any
-pivot, and permutations of the species labels.
+label array, a single state is one row of such an array, and each row has a
+base-M integer code.  The symmetry group is generated by cyclic translations,
+reflections about any pivot, and permutations of the species labels; two rows
+lie in one orbit exactly when their canonical codes, the smallest code in
+each orbit, are equal.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from math import factorial
 
 import numpy as np
 
+#: One state as a label tuple: the working state of the Metropolis sampler.
 SpinConfig = tuple[int, ...]
 
 #: Refuse to enumerate bases larger than this; bigger systems go through sampling.
@@ -84,83 +86,6 @@ def state_codes(states: np.ndarray, m: int) -> np.ndarray:
     return codes
 
 
-# ---------------------------------------------------------------------------
-# Symmetry operations
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Translate:
-    shift: int
-
-
-@dataclass(frozen=True)
-class Reflect:
-    """Maps site i to (2*pivot - i) mod N."""
-
-    pivot: int
-
-
-@dataclass(frozen=True)
-class Relabel:
-    perm: tuple[int, ...]
-
-
-SymmetryOp = Translate | Reflect | Relabel
-
-
-def apply_symmetry(op: SymmetryOp, s: SpinConfig) -> SpinConfig:
-    n = len(s)
-    if isinstance(op, Translate):
-        k = op.shift % n
-        return s[k:] + s[:k]
-    if isinstance(op, Reflect):
-        return tuple(s[(2 * op.pivot - i) % n] for i in range(n))
-    if isinstance(op, Relabel):
-        return tuple(op.perm[x] for x in s)
-    raise TypeError(f"unknown symmetry op {op!r}")
-
-
-def inverse(op: SymmetryOp) -> SymmetryOp:
-    if isinstance(op, Translate):
-        return Translate(-op.shift)
-    if isinstance(op, Reflect):
-        return op
-    if isinstance(op, Relabel):
-        inv = [0] * len(op.perm)
-        for i, j in enumerate(op.perm):
-            inv[j] = i
-        return Relabel(tuple(inv))
-    raise TypeError(f"unknown symmetry op {op!r}")
-
-
-def group_generators(m: int) -> list[SymmetryOp]:
-    """Generators of the full symmetry group: one translation, one reflection,
-    and adjacent label transpositions (which generate all relabelings)."""
-    gens: list[SymmetryOp] = [Translate(1), Reflect(0)]
-    for i in range(m - 1):
-        perm = list(range(m))
-        perm[i], perm[i + 1] = perm[i + 1], perm[i]
-        gens.append(Relabel(tuple(perm)))
-    return gens
-
-
-def orbit(s: SpinConfig, m: int) -> set[SpinConfig]:
-    """Closure of s under the generated symmetry group (BFS over generators)."""
-    gens = group_generators(m)
-    seen = {s}
-    frontier = [s]
-    while frontier:
-        nxt = []
-        for t in frontier:
-            for g in gens:
-                u = apply_symmetry(g, t)
-                if u not in seen:
-                    seen.add(u)
-                    nxt.append(u)
-        frontier = nxt
-    return seen
-
-
 @dataclass
 class EquivalenceClassPartition:
     """Orbit partition of a lex-sorted basis: ``class_ids[i]`` is the class of
@@ -223,20 +148,13 @@ def class_count_lower_bound(n: int, m: int) -> Fraction:
     return Fraction(factorial(n), 2 * n * factorial(m) * factorial(n // m) ** m)
 
 
-def marshall_sign(s: SpinConfig) -> int:
-    """Sign gauge (-1)^(# down spins on even sites) for the M=2 chain.
+def marshall_signs(states: np.ndarray) -> np.ndarray:
+    """Sign gauge (-1)^(# down spins on even sites) of every row of an
+    ``(S, N)`` M=2 label array, as floats.
 
     The gauged Hamiltonian has non-positive off-diagonal entries, so the
     nondegenerate ground state can be taken strictly positive.
     """
-    if any(x > 1 for x in s):
-        raise ValueError("Marshall gauge is only defined for M=2")
-    downs_on_even = sum(s[i] for i in range(0, len(s), 2))
-    return -1 if downs_on_even % 2 else 1
-
-
-def marshall_signs(states: np.ndarray) -> np.ndarray:
-    """:func:`marshall_sign` of every row of a ``(S, N)`` M=2 label array, as floats."""
     if states.size and states.max() > 1:
         raise ValueError("Marshall gauge is only defined for M=2")
     downs_on_even = states[:, ::2].sum(axis=1, dtype=np.int64)

@@ -1,7 +1,65 @@
-"""Helpers shared by the test modules."""
+"""Helpers shared by the test modules: the tuple-loop reference
+implementations that the array code in ``spinmotif`` is checked against."""
+
+import numpy as np
+
+from spinmotif.ansatz import _windows
 
 
 def tuples(states):
     """The rows of an ``(S, N)`` label array as label tuples, the input of the
     tuple-loop reference implementations and of hypothesis ``sampled_from``."""
     return [tuple(row) for row in states.tolist()]
+
+
+def generators(m):
+    """Generators of the chain's symmetry group as maps of label tuples: the
+    shift by one site, the reversal, and each adjacent label swap (which
+    together generate all relabelings)."""
+    gens = [lambda s: s[1:] + s[:1], lambda s: s[::-1]]
+    for a in range(m - 1):
+        swap = {a: a + 1, a + 1: a}
+        gens.append(lambda s, swap=swap: tuple(swap.get(x, x) for x in s))
+    return gens
+
+
+def orbit(s, m):
+    """Closure of the label tuple s under the symmetry group (BFS over the
+    generators)."""
+    gens = generators(m)
+    seen = {s}
+    frontier = [s]
+    while frontier:
+        nxt = []
+        for t in frontier:
+            for g in gens:
+                u = g(t)
+                if u not in seen:
+                    seen.add(u)
+                    nxt.append(u)
+        frontier = nxt
+    return seen
+
+
+def marshall_sign(s):
+    """Sign gauge (-1)^(# down spins on even sites) of one M=2 label tuple."""
+    downs_on_even = sum(s[i] for i in range(0, len(s), 2))
+    return -1 if downs_on_even % 2 else 1
+
+
+def logpsi_gradient(p, s):
+    """(d/dv, d/dw, d/db) of the CNN's ln psi at one label tuple s, by a loop
+    over the windows.  ReLU subgradient at 0 is 0."""
+    s_arr = np.asarray(s, dtype=np.intp)
+    n = s_arr.shape[0]
+    win = _windows(s_arr, p.k)  # (N, K)
+    pre = p.w[np.arange(p.k), win].sum(axis=1) + p.b
+    act = np.maximum(pre, 0.0)
+    firing = pre > 0.0
+    dv = float(act.sum())
+    db = float(p.v * firing.sum())
+    dw = np.zeros_like(p.w)
+    for i in range(n):
+        if firing[i]:
+            dw[np.arange(p.k), win[i]] += p.v
+    return dv, dw, db

@@ -13,11 +13,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from conftest import orbit
 
 from spinmotif.analysis import feature_design, ols_regress
 from spinmotif.ansatz import (
     CnnParams,
-    cnn_logpsi,
     cnn_logpsi_batch,
     fit_maxent,
     grandsum,
@@ -39,12 +39,10 @@ from spinmotif.motif import (
     integer_rank,
     motif_count_matrix,
     motif_symmetry_classes,
-    motif_vector,
 )
 from spinmotif.spinchain import (
     class_count_lower_bound,
     enumerate_basis,
-    orbit,
     partition_classes,
 )
 from spinmotif.vmc import (
@@ -152,12 +150,13 @@ def test_criterion_05_ambiguity_bound():
         k = n // 3 - 1
         m = 2 if n % 2 == 0 else 3
         s1, s2 = ambiguous_pair(n, k, m)
-        ok &= np.array_equal(motif_vector(s1, k, m), motif_vector(s2, k, m))
-        ok &= s2 not in orbit(s1, m)
+        ok &= np.array_equal(motif_count_matrix(s1[None], k, m)[:, 0],
+                             motif_count_matrix(s2[None], k, m)[:, 0])
+        ok &= tuple(s2.tolist()) not in orbit(tuple(s1.tolist()), m)
         for _ in range(5):
             p = CnnParams(w=rng.uniform(-1, 1, (k, m)),
                           b=float(rng.uniform(-1, 1)), v=1.0)
-            ok &= abs(cnn_logpsi(p, s1) - cnn_logpsi(p, s2)) < 1e-12
+            ok &= abs(cnn_logpsi_batch(p, s1[None])[0] - cnn_logpsi_batch(p, s2[None])[0]) < 1e-12
     _report(5, "ambiguous pairs found and CNN-indistinguishable at "
                "N=9,12,15", ok)
 
@@ -183,7 +182,8 @@ def test_criterion_07_linear_constancy():
                           v=float(rng.uniform(0.5, 1.5)))
             const = linear_activation_constant(p, n)
             for s in enumerate_basis(n, 2):
-                rel = abs(linear_cnn_logpsi(p, s) - const) / max(abs(const), 1e-30)
+                rel = (abs(linear_cnn_logpsi(p, s[None])[0] - const)
+                       / max(abs(const), 1e-30))
                 worst = max(worst, rel)
     ok = worst < 1e-10
     _report(7, f"linear-activation outputs constant, worst rel dev {worst:.2e}", ok)
@@ -338,7 +338,7 @@ def test_criterion_16_maxent_fit(gs_cache):
         probs = maxent_state_probs(mp, gs_cache[8].states)
         model = np.zeros(2**k)
         for s, pr in zip(gs_cache[8].states, probs):
-            model += pr * motif_vector(s, k, 2) / 8.0
+            model += pr * motif_count_matrix(s[None], k, 2)[:, 0] / 8.0
         resid = max(abs(model[sum(x * 2**i for i, x in enumerate(reversed(mo)))]
                         - targets[mo]) for mo in mp.motifs)
         ok &= resid < 1e-8

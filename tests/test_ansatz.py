@@ -4,22 +4,19 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import tuples
+from conftest import logpsi_gradient, tuples
 from hypothesis import given, settings, strategies as st
 
 from spinmotif.ansatz import (
     CnnParams,
     MaxEntParams,
     cnn_as_cps,
-    cnn_logpsi,
     cnn_logpsi_batch,
-    cnn_logpsi_motif_form,
     cps_logpsi,
     fit_maxent,
     grandsum,
     linear_activation_constant,
     linear_cnn_logpsi,
-    logpsi_gradient,
     logpsi_gradient_batch,
     maxent_logpsi,
     maxent_state_probs,
@@ -27,8 +24,8 @@ from spinmotif.ansatz import (
     unpack_gradient,
 )
 from spinmotif.exact import exact_mev, ground_state
-from spinmotif.motif import motif_vector
-from spinmotif.spinchain import Relabel, apply_symmetry, enumerate_basis
+from spinmotif.motif import all_motifs, motif_count_matrix
+from spinmotif.spinchain import enumerate_basis
 
 
 @st.composite
@@ -40,7 +37,8 @@ def cnn_params(draw, k_range=(2, 4), scale=1.0):
     return CnnParams(w=w, b=flat[-1], v=draw(st.floats(0.5, 1.5)))
 
 
-BASIS8 = tuples(enumerate_basis(8, 2))
+STATES8 = enumerate_basis(8, 2)
+BASIS8 = tuples(STATES8)
 
 
 def test_params_json_roundtrip():
@@ -51,30 +49,36 @@ def test_params_json_roundtrip():
 
 @given(cnn_params(), st.sampled_from(BASIS8))
 def test_motif_form_matches_direct_evaluation(p, s):
-    direct = cnn_logpsi(p, s)
-    counts = motif_vector(s, p.k, 2)
-    assert cnn_logpsi_motif_form(p, counts) == pytest.approx(direct, abs=1e-12)
+    row = np.array([s], dtype=np.uint8)
+    direct = cnn_logpsi_batch(p, row)[0]
+    # motif form: v * sigma(w . motif + b), weighted by the motif counts
+    acts = [max(sum(p.w[j, x] for j, x in enumerate(mo)) + p.b, 0.0)
+            for mo in all_motifs(2, p.k)]
+    counts = motif_count_matrix(row, p.k, 2)[:, 0]
+    assert p.v * np.dot(acts, counts) == pytest.approx(direct, abs=1e-12)
 
 
 @given(cnn_params(), st.sampled_from(BASIS8))
 def test_cps_embedding_reproduces_cnn(p, s):
+    row = np.array([s], dtype=np.uint8)
     coeffs = cnn_as_cps(p)
-    counts = motif_vector(s, p.k, 2)
-    assert cps_logpsi(coeffs, counts) == pytest.approx(cnn_logpsi(p, s), abs=1e-12)
+    assert cps_logpsi(coeffs, STATES8, 2) == pytest.approx(cnn_logpsi_batch(p, STATES8),
+                                                           abs=1e-12)
+    with pytest.raises(ValueError):
+        cps_logpsi(coeffs[:-1], row, 2)
 
 
 @given(cnn_params())
 def test_batch_evaluation_matches_scalar(p):
-    arr = np.asarray(BASIS8[:10], dtype=np.intp)
-    batch = cnn_logpsi_batch(p, arr)
-    for s, val in zip(BASIS8[:10], batch):
-        assert val == pytest.approx(cnn_logpsi(p, s), abs=1e-12)
+    batch = cnn_logpsi_batch(p, STATES8[:10])
+    for row, val in zip(STATES8[:10], batch):
+        assert val == pytest.approx(cnn_logpsi_batch(p, row[None])[0], abs=1e-12)
 
 
 @given(cnn_params(), st.sampled_from(BASIS8), st.integers(1, 7))
 def test_translation_invariance(p, s, shift):
-    t = s[shift:] + s[:shift]
-    assert cnn_logpsi(p, t) == pytest.approx(cnn_logpsi(p, s), abs=1e-12)
+    vals = cnn_logpsi_batch(p, np.array([s, s[shift:] + s[:shift]], dtype=np.uint8))
+    assert vals[1] == pytest.approx(vals[0], abs=1e-12)
 
 
 @given(cnn_params(scale=2.0))
@@ -98,19 +102,18 @@ def test_projection_leaves_window_differences_intact():
 @given(cnn_params(scale=1.0))
 def test_linear_activation_is_constant(p):
     const = linear_activation_constant(p, 8)
-    for s in BASIS8[::7]:
-        assert linear_cnn_logpsi(p, s) == pytest.approx(const, abs=1e-10)
+    assert linear_cnn_logpsi(p, STATES8[::7]) == pytest.approx(const, abs=1e-10)
 
 
 def test_gradient_matches_finite_differences():
     rng = np.random.default_rng(3)
     p = CnnParams(w=rng.uniform(-1, 1, (3, 2)), b=0.2, v=1.1)
-    s = BASIS8[17]
-    dv, dw, db = logpsi_gradient(p, s)
+    row = STATES8[17:18]
+    dv, dw, db = unpack_gradient(p, logpsi_gradient_batch(p, row)[0])
     eps = 1e-6
 
     def fd(plus, minus):
-        return (cnn_logpsi(plus, s) - cnn_logpsi(minus, s)) / (2 * eps)
+        return (cnn_logpsi_batch(plus, row)[0] - cnn_logpsi_batch(minus, row)[0]) / (2 * eps)
 
     assert dv == pytest.approx(fd(replace(p, v=p.v + eps), replace(p, v=p.v - eps)), rel=1e-5)
     assert db == pytest.approx(fd(replace(p, b=p.b + eps), replace(p, b=p.b - eps)), rel=1e-5)
@@ -124,8 +127,7 @@ def test_gradient_matches_finite_differences():
 
 @given(cnn_params())
 def test_gradient_batch_matches_scalar(p):
-    arr = np.asarray(BASIS8[:6], dtype=np.intp)
-    flat = logpsi_gradient_batch(p, arr)
+    flat = logpsi_gradient_batch(p, STATES8[:6])
     for s, row in zip(BASIS8[:6], flat):
         dv, dw, db = logpsi_gradient(p, s)
         fv, fw, fb = unpack_gradient(p, row)
@@ -137,7 +139,7 @@ def test_gradient_batch_matches_scalar(p):
 def test_relu_subgradient_at_zero_is_zero():
     # all preactivations exactly zero: gradient of w and b must vanish
     p = CnnParams(w=np.zeros((2, 2)), b=0.0, v=1.0)
-    dv, dw, db = logpsi_gradient(p, BASIS8[0])
+    dv, dw, db = unpack_gradient(p, logpsi_gradient_batch(p, STATES8[:1])[0])
     assert dv == 0.0 and db == 0.0 and not dw.any()
 
 
@@ -150,8 +152,8 @@ class TestMaxEnt:
             mp = fit_maxent(targets, basis, k)
             probs = maxent_state_probs(mp, basis)
             model = np.zeros(2**k)
-            for s, pr in zip(tuples(basis), probs):
-                model += pr * motif_vector(s, k, 2) / 8.0
+            for s, pr in zip(basis, probs):
+                model += pr * motif_count_matrix(s[None], k, 2)[:, 0] / 8.0
             for mo in mp.motifs:
                 idx = sum(x * 2**i for i, x in enumerate(reversed(mo)))
                 assert model[idx] == pytest.approx(targets[mo], abs=1e-8)
@@ -186,7 +188,6 @@ class TestMaxEnt:
 @settings(deadline=None)
 def test_grandsum_relabel_theorem_any_relabeling(p):
     q = project_grandsum(p)
-    op = Relabel((1, 0))
-    for s in BASIS8[::11]:
-        t = apply_symmetry(op, s)
-        assert cnn_logpsi(q, t) == pytest.approx(cnn_logpsi(q, s), abs=1e-9)
+    states = STATES8[::11]
+    assert cnn_logpsi_batch(q, 1 - states) == pytest.approx(cnn_logpsi_batch(q, states),
+                                                            abs=1e-9)

@@ -49,6 +49,20 @@ def _raise_memory_error(*args, **kwargs):
     pytest.param(["regress", "--config", "runs.json"], None, id="regress-runs-missing"),
     pytest.param(["regress", "--runs", "list.json"], None, id="regress-runs-not-object"),
     pytest.param(["regress", "--runs", "bad-run.json"], None, id="regress-run-not-object"),
+    pytest.param(["regress", "--runs", "delta-text.json"], None, id="regress-delta-text"),
+    pytest.param(["regress", "--runs", "delta-null.json"], None, id="regress-delta-null"),
+    pytest.param(["exact", "-n", "8", "-k", "-1"], None, id="exact-k-negative"),
+    pytest.param(["exact", "-n", "8", "-k", "0"], None, id="exact-k-zero"),
+    pytest.param(["mev", "-n", "8", "-k", "-2"], None, id="mev-k-negative"),
+    pytest.param(["mev", "-n", "8", "-k", "0"], None, id="mev-k-zero"),
+    pytest.param(["mev", "--config", "k-bool.json"], None, id="mev-k-bool"),
+    pytest.param(["cft", "-k", "0", "--beta", "1"], None, id="cft-k-zero"),
+    pytest.param(["train", "-n", "8", "-k", "0"], None, id="train-k-zero"),
+    pytest.param(["train", "-n", "8", "-k", "12"], None, id="train-k-above-n"),
+    pytest.param(["train", "--config", "seeds-scalar.json"], None, id="train-seeds-scalar"),
+    pytest.param(["basis", "--config", "m-null.json"], None, id="basis-m-null"),
+    pytest.param(["basis", "--config", "n-fraction.json"], None, id="basis-n-fraction"),
+    pytest.param(["motif-rank", "-n", "8", "--k-max", "-3"], None, id="motif-rank-k-max-negative"),
 ])
 def test_invalid_config_is_exit_2(runner, tmp_path, monkeypatch, args, target):
     monkeypatch.chdir(tmp_path)
@@ -59,6 +73,12 @@ def test_invalid_config_is_exit_2(runner, tmp_path, monkeypatch, args, target):
     (tmp_path / "bad-run.json").write_text(json.dumps({"runs": [1]}))
     (tmp_path / "columns.csv").write_text("a,b\n01,0.5\n")
     (tmp_path / "short.csv").write_text("motif,probability\n01,0.5\n10\n")
+    (tmp_path / "delta-text.json").write_text(json.dumps({"runs": [{"delta_E_rel": "x"}]}))
+    (tmp_path / "delta-null.json").write_text(json.dumps({"runs": [{"delta_E_rel": None}]}))
+    (tmp_path / "k-bool.json").write_text(json.dumps({"N": 8, "K": True}))
+    (tmp_path / "seeds-scalar.json").write_text(json.dumps({"N": 8, "seeds": 5}))
+    (tmp_path / "m-null.json").write_text(json.dumps({"N": 8, "M": None}))
+    (tmp_path / "n-fraction.json").write_text(json.dumps({"N": 8.5}))
     if target:
         monkeypatch.setattr(*target, _raise_memory_error)
     out = tmp_path / "x"

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from conftest import tuples
+from conftest import marshall_sign, tuples
 
 from spinmotif import exact
 from spinmotif.exact import (
@@ -27,13 +27,8 @@ from spinmotif.exact import (
     sector_hamiltonian,
     truncation_size,
 )
-from spinmotif.motif import all_motifs, conjugate, motif_index, motif_vector
-from spinmotif.spinchain import (
-    enumerate_basis,
-    marshall_sign,
-    marshall_signs,
-    partition_classes,
-)
+from spinmotif.motif import all_motifs, conjugate, motif_count_matrix, motif_index
+from spinmotif.spinchain import enumerate_basis, marshall_signs, partition_classes
 
 
 def heisenberg_e0(n):
@@ -293,8 +288,8 @@ def test_mev_matches_direct_window_average():
     amps = gs.physical_amplitudes()
     mev = exact_mev(gs, 2)
     direct = np.zeros(4)
-    for s, a in zip(tuples(gs.states), amps):
-        direct += a * a * motif_vector(s, 2, 2) / 8.0
+    for s, a in zip(gs.states, amps):
+        direct += a * a * motif_count_matrix(s[None], 2, 2)[:, 0] / 8.0
     for mo, val in mev.items():
         assert val == pytest.approx(direct[motif_index(mo, 2)], abs=1e-12)
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from conftest import tuples
+from conftest import orbit, tuples
 from hypothesis import given, settings, strategies as st
 
 from spinmotif import motif
@@ -24,10 +24,9 @@ from spinmotif.motif import (
     motif_count_rows,
     motif_index,
     motif_symmetry_classes,
-    motif_vector,
     rank_scan,
 )
-from spinmotif.spinchain import enumerate_basis, orbit, partition_classes
+from spinmotif.spinchain import enumerate_basis, partition_classes
 
 
 def reference_count_matrix(basis, k, m):
@@ -53,21 +52,21 @@ def test_motif_ordering_and_index():
 
 @given(st.sampled_from(tuples(enumerate_basis(8, 2))), st.integers(1, 8))
 def test_motif_vector_sums_to_n(s, k):
-    vec = motif_vector(s, k, 2)
+    vec = motif_count_matrix(np.array([s], dtype=np.uint8), k, 2)[:, 0]
     assert vec.sum() == len(s)
     assert (vec >= 0).all()
 
 
 def test_motif_vector_by_hand():
     # 001011 has cyclic 2-windows 00,01,10,01,11,10
-    vec = motif_vector((0, 0, 1, 0, 1, 1), 2, 2)
+    vec = motif_count_matrix(np.array([(0, 0, 1, 0, 1, 1)], dtype=np.uint8), 2, 2)[:, 0]
     assert list(vec) == [1, 2, 2, 1]
 
 
 @given(st.sampled_from(tuples(enumerate_basis(8, 2))), st.integers(1, 4))
 def test_motif_vector_translation_invariant(s, k):
-    shifted = s[1:] + s[:1]
-    assert np.array_equal(motif_vector(s, k, 2), motif_vector(shifted, k, 2))
+    counts = motif_count_matrix(np.array([s, s[1:] + s[:1]], dtype=np.uint8), k, 2)
+    assert np.array_equal(counts[:, 0], counts[:, 1])
 
 
 def test_conjugate():
@@ -86,7 +85,7 @@ def test_motif_count_matrix_matches_window_loop(n, m):
         expected = reference_count_matrix(tuples(states), k, m)
         assert mcm.dtype == np.int64
         assert np.array_equal(mcm, expected)
-        assert np.array_equal(motif_vector(tuples(states)[-1], k, m), expected[:, -1])
+        assert np.array_equal(motif_count_matrix(states[-1:], k, m)[:, 0], expected[:, -1])
         picked = all_motifs(m, k)[::-3]  # out of lexicographic order
         rows = [motif_index(mo, m) for mo in picked]
         assert np.array_equal(motif_count_rows(states, picked, m), expected[rows])
@@ -251,13 +250,29 @@ def test_rank_sequence_and_critical_kernel_size_n12():
     assert critical_kernel_size(12, 2) == 7
 
 
-@pytest.mark.parametrize("n,k,m", [(9, 2, 3), (12, 3, 2), (15, 4, 3)])
+# the rows ambiguous_pair returns, pinned so that a change in its search order shows
+AMBIGUOUS_PAIRS = {
+    (9, 2, 3): [[0, 1, 0, 2, 0, 1, 1, 2, 2], [0, 2, 0, 1, 0, 1, 1, 2, 2]],
+    (12, 3, 2): [[0, 1, 0, 0, 1, 1, 0, 1, 0, 0, 1, 1], [0, 1, 1, 0, 1, 0, 0, 1, 0, 0, 1, 1]],
+    (15, 4, 3): [[0, 1, 2, 0, 0, 1, 2, 1, 0, 1, 2, 0, 1, 2, 2],
+                 [0, 1, 2, 1, 0, 1, 2, 0, 0, 1, 2, 0, 1, 2, 2]],
+    (16, 4, 2): [[0, 1, 0, 0, 0, 1, 0, 1, 0, 1, 0, 0, 1, 1, 1, 1],
+                 [0, 1, 0, 1, 0, 1, 0, 0, 0, 1, 0, 0, 1, 1, 1, 1]],
+    (20, 5, 2): [[0, 1, 0, 1, 0, 0, 1, 0, 1, 1, 0, 1, 0, 1, 0, 0, 0, 1, 1, 1],
+                 [0, 1, 0, 1, 1, 0, 1, 0, 1, 0, 0, 1, 0, 1, 0, 0, 0, 1, 1, 1]],
+}
+
+
+@pytest.mark.parametrize("n,k,m", [(9, 2, 3), (12, 3, 2), (15, 4, 3), (16, 4, 2), (20, 5, 2)])
 def test_ambiguous_pair_construction(n, k, m):
-    s1, s2 = ambiguous_pair(n, k, m)
-    assert len(s1) == len(s2) == n
+    pair = ambiguous_pair(n, k, m)
+    assert pair.dtype == np.uint8 and pair.shape == (2, n)
+    assert pair.tolist() == AMBIGUOUS_PAIRS[n, k, m]
     for label in range(m):
-        assert s1.count(label) == n // m
-    assert np.array_equal(motif_vector(s1, k, m), motif_vector(s2, k, m))
+        assert ((pair == label).sum(axis=1) == n // m).all()
+    counts = reference_count_matrix(tuples(pair), k, m)
+    assert np.array_equal(counts[:, 0], counts[:, 1])
+    s1, s2 = tuples(pair)
     assert s2 not in orbit(s1, m)
 
 
@@ -282,7 +297,7 @@ def test_class_averaged_counts_exact():
         cls = tuples(members)
         for mo in all_motifs(2, 2):
             avg = class_averaged_counts(members, mo, 2)
-            total = sum(int(motif_vector(s, 2, 2)[motif_index(mo, 2)]) for s in cls)
+            total = int(reference_count_matrix(cls, 2, 2)[motif_index(mo, 2)].sum())
             assert avg == total / len(cls) or avg.denominator > 1
 
 
