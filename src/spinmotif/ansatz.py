@@ -3,9 +3,11 @@
 The shallow CNN, the correlator-product (CPS) and the maximum-entropy ansatz
 all evaluate to ln psi(s) = sum over motifs of coefficient * count.
 :func:`cps_logpsi` is that motif form; :func:`cnn_as_cps` gives the CNN's
-coefficients.  States are the rows of a ``(B, N)`` label array.  One-hot
-channel layout: a window starting at i contributes
-``sum_j w[j][label(s_{i+j})] + b`` before the ReLU.
+coefficients.  The MaxEnt coefficients sit on the certified independent
+rows of the motif count matrix on the basis, so they are unique for any M.
+States are the rows of a ``(B, N)`` label array.  One-hot channel layout: a
+window starting at i contributes ``sum_j w[j][label(s_{i+j})] + b`` before
+the ReLU.
 """
 
 from __future__ import annotations
@@ -14,11 +16,12 @@ import json
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.linalg import cho_factor, cho_solve
 
 from .motif import (
     Motif,
     all_motifs,
-    independent_operator_set,
+    independent_rows,
     motif_count_matrix,
     motif_count_rows,
 )
@@ -177,44 +180,41 @@ def fit_maxent(
 
     ``basis`` is the ``(S, N)`` label array the model is normalized over.
     Targets use the probability convention (diagonal of rho_K); the model is
-    P(s) proportional to exp(2 * sum lambda * count).  Damped Newton on the
-    convex dual; the step solves the Hessian system by least squares so the
-    rank-deficient K ~ N limit still converges on the residual.
+    P(s) proportional to exp(2 * sum lambda * count).  The operators are the
+    :func:`~spinmotif.motif.independent_rows` of the count matrix on the
+    basis, so their number is its rank and the multipliers are unique.  The
+    constant sum of counts lies in their span, so damped Newton with Cholesky
+    steps on the moment dual sum_s exp(2 lambda.c(s))/2 - lambda.t, whose
+    Hessian is positive definite, also matches the normalization.
     """
     n = basis.shape[1]
-    ops = independent_operator_set(k, m)
+    counts = motif_count_matrix(basis, k, m)
+    rows = independent_rows(counts)
+    motifs = all_motifs(m, k)
+    ops = [motifs[i] for i in rows]
     missing = [mo for mo in ops if mo not in targets]
     if missing:
         raise ValueError(f"targets missing independent motifs: {missing[:3]}...")
     t_counts = np.array([targets[mo] for mo in ops]) * n  # count convention
-    c_mat = motif_count_rows(basis, ops, m).T.astype(float, order="C")
+    c_mat = counts[rows].T.astype(float, order="C")
+
+    def dual(l_vec: np.ndarray) -> float:
+        return 0.5 * np.exp(2.0 * c_mat @ l_vec).sum() - l_vec @ t_counts
 
     lam = np.zeros(len(ops))
     residual = np.inf
     for _ in range(max_iter):
-        logw = 2.0 * c_mat @ lam
-        logw -= logw.max()
-        w = np.exp(logw)
-        z = w.sum()
-        prob = w / z
-        mean = prob @ c_mat
-        resid = mean - t_counts
+        prob = np.exp(2.0 * c_mat @ lam)
+        resid = prob @ c_mat - t_counts
         residual = float(np.abs(resid).max())
         if residual < tol:
             break
-        cov = c_mat.T @ (c_mat * prob[:, None]) - np.outer(mean, mean)
-        step, *_ = np.linalg.lstsq(2.0 * cov, resid, rcond=None)
-
-        def dual(l_vec: np.ndarray) -> float:
-            lw = 2.0 * c_mat @ l_vec
-            shift = lw.max()
-            return 0.5 * (shift + np.log(np.exp(lw - shift).sum())) - l_vec @ t_counts
-
+        hess = 2.0 * c_mat.T @ (c_mat * prob[:, None])
+        step = cho_solve(cho_factor(hess), resid)
         f0 = dual(lam)
         alpha = 1.0
         for _ in range(50):
-            trial = lam - alpha * step
-            if dual(trial) < f0:
+            if dual(lam - alpha * step) <= f0:
                 break
             alpha *= 0.5
         lam = lam - alpha * step

@@ -6,8 +6,9 @@ can be replayed exactly.  Exit codes, the same for every subcommand:
 
 - 0: success.
 - 2: invalid configuration (a ``ValueError`` such as a bad size, an integer
-  option that is not a whole number or is out of range, a missing option or
-  an unreadable config file, or a ``MemoryError``); writes
+  option that is not a whole number or is out of range, a real option that
+  is not a finite positive number, a missing option or an unreadable config
+  file, or a ``MemoryError``); writes
   ``error.json`` with ``{"error": "invalid-config"}``.
 - 3: numerical failure (``exact.NumericalCheckError``, or a diverged training
   seed); writes ``error.json`` with ``{"error": "numerical"}``.
@@ -130,6 +131,20 @@ def _int(value, name: str, lo: float = -np.inf, hi: float = np.inf) -> int:
     return value
 
 
+def _float(value, name: str) -> float:
+    """The config value of option ``name`` as a finite float above 0.  Null is
+    a missing option; anything else that is not a number, bools and numeric
+    text included, or a value that is not finite and positive raises
+    ``ValueError``."""
+    if value is None:
+        raise ValueError(f"missing required option: {name}")
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    if not 0 < value <= np.finfo(float).max:
+        raise ValueError(f"{name} = {value} must be finite and positive")
+    return float(value)
+
+
 @click.group()
 def main() -> None:
     """Motif-based CNN ansatz toolkit for 1D spin chains."""
@@ -245,19 +260,19 @@ def mev(cfg: dict, out_dir: Path) -> None:
 def cft(cfg: dict, out_dir: Path) -> None:
     """Thermal entanglement-Hamiltonian MEVs, optionally with beta calibration."""
     k = _int(cfg.get("K"), "K", 1)
+    if cfg.get("beta") is None and not cfg.get("calibrate_N"):
+        raise ValueError("need --beta or --calibrate-n")
+    b = None if cfg.get("beta") is None else _float(cfg["beta"], "beta")
     _echo_config(out_dir, "cft", {"K": k, "beta": cfg.get("beta"),
                                   "calibrate_N": cfg.get("calibrate_N")})
-    b = cfg.get("beta")
     if cfg.get("calibrate_N"):
         ref_gs = exact.ground_state(_int(cfg["calibrate_N"], "calibrate_N"), 2, gauge=True)
         b = exact.calibrate_beta(k, exact.exact_mev(ref_gs, k))
-    if b is None:
-        raise ValueError("need --beta or --calibrate-n")
-    table = exact.cft_mev(k, float(b))
-    _atomic_write(out_dir / "beta.json", json.dumps({"K": k, "beta": float(b)}) + "\n")
+    table = exact.cft_mev(k, b)
+    _atomic_write(out_dir / "beta.json", json.dumps({"K": k, "beta": b}) + "\n")
     _write_csv(out_dir / "cft_mev.csv", ["motif", "probability"],
                [[_state_str(mo), f"{v!r}"] for mo, v in table.items()])
-    click.echo(f"beta = {float(b):.6f} -> {out_dir}")
+    click.echo(f"beta = {b:.6f} -> {out_dir}")
 
 
 @command("train", SITES, KERNEL,
@@ -282,7 +297,8 @@ def train(cfg: dict, out_dir: Path) -> None:
     seed_list = [_int(x, "seed") for x in seeds]
     run_cfg = {
         "N": n, "K": k, "algorithm": algo,
-        "eta": float(cfg.get("eta", 0.02)), "n_opt": _int(cfg.get("n_opt", 10), "n_opt"),
+        "eta": _float(cfg.get("eta", 0.02), "eta"),
+        "n_opt": _int(cfg.get("n_opt", 10), "n_opt"),
         "max_iter": _int(cfg.get("max_iter", 500), "max_iter"),
         "n_samples": _int(cfg.get("n_samples", 1000), "n_samples"), "seeds": seed_list,
     }

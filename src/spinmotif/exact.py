@@ -350,7 +350,7 @@ def _entanglement_eigh(k: int, m: int) -> tuple[np.ndarray, np.ndarray]:
 
 def cft_mev(k: int, beta: float, m: int = 2) -> dict[Motif, float]:
     """Diagonal of exp(-beta * H_K)/Z in the product basis."""
-    if beta <= 0:
+    if not beta > 0:
         raise ValueError(f"beta must be positive, got {beta}")
     evals, evecs = _entanglement_eigh(k, m)
     w = np.exp(-beta * (evals - evals.min()))

@@ -3,10 +3,10 @@
 Motifs are label tuples ordered lexicographically.  Counts are taken over
 states given as the rows of an ``(S, N)`` label array, a single state being a
 one-row array, and come back as int64 arrays with one row per motif and one
-column per state.  All rank and class-average computations use exact
-integer/rational arithmetic, with floats allowed only as cross-checks.  The
-rank of a count matrix comes from Gauss-Jordan elimination modulo one 31-bit
-prime in int64, accepted only with an integer certificate: left-kernel
+column per state.  Rank computations use exact integer arithmetic, with
+floats allowed only as cross-checks.  The independent rows of a count matrix,
+whose number is its rank, come from Gauss-Jordan elimination modulo one
+31-bit prime in int64, accepted only with an integer certificate: left-kernel
 vectors Y with ``Y @ A == 0`` checked exactly under a stated overflow bound
 (Dixon, Numer. Math. 40, 137 (1982)).  A matrix the certificate does not
 cover falls back to fraction-free Bareiss elimination over the integers.
@@ -15,7 +15,6 @@ cover falls back to fraction-free Bareiss elimination over the integers.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from fractions import Fraction
 from itertools import product
 
 import numpy as np
@@ -98,11 +97,13 @@ def motif_count_rows(states: np.ndarray, motifs: Sequence[Motif], m: int) -> np.
     return _window_counts(states, len(motifs[0]), m, codes)
 
 
-def _bareiss_rank(rows: list[list[int]]) -> int:
-    """Exact rank over the rationals via fraction-free Gaussian elimination."""
+def _bareiss_pivots(rows: list[list[int]]) -> list[int]:
+    """Indices of rows that form a basis of the row space over the rationals,
+    via fraction-free Gaussian elimination; their number is the rank."""
     mat = [row[:] for row in rows]
     nrows = len(mat)
     ncols = len(mat[0]) if nrows else 0
+    order = list(range(nrows))
     rank = 0
     prev = 1
     for col in range(ncols):
@@ -110,6 +111,7 @@ def _bareiss_rank(rows: list[list[int]]) -> int:
         if pivot_row is None:
             continue
         mat[rank], mat[pivot_row] = mat[pivot_row], mat[rank]
+        order[rank], order[pivot_row] = order[pivot_row], order[rank]
         piv = mat[rank][col]
         for r in range(rank + 1, nrows):
             row_r = mat[r]
@@ -121,7 +123,7 @@ def _bareiss_rank(rows: list[list[int]]) -> int:
         rank += 1
         if rank == nrows:
             break
-    return rank
+    return order[:rank]
 
 
 #: The prime of the modular elimination: below 2**31, so a product of two
@@ -169,39 +171,41 @@ def _left_kernel_mod_p(distinct: np.ndarray) -> tuple[int, np.ndarray, np.ndarra
     return rank, np.asarray(pivots, dtype=np.intp), y_pivot
 
 
-def integer_rank(matrix: np.ndarray) -> int:
-    """Exact rank over the rationals of an integer matrix.
+def independent_rows(matrix: np.ndarray) -> np.ndarray:
+    """Sorted indices of rows of an integer matrix that form a basis of its
+    row space over the rationals; their number is the rank.
 
-    Repeated columns, repeated rows and zero rows do not change the rank, so
-    they are dropped first.  The rank r_p of what is left modulo
-    :data:`PRIME` is at most the rank over Q: a minor that is nonzero mod p is
-    nonzero over Z.  It is returned only when the rows - r_p left-kernel
+    Repeated columns, repeated rows and zero rows are dropped first, a
+    repeated row standing for its first occurrence.  The pivot rows modulo
+    :data:`PRIME` are independent over Q: a minor that is nonzero mod p is
+    nonzero over Z.  They are returned only when the rows - r_p left-kernel
     vectors Y of the elimination, lifted to small integers, satisfy
     ``Y @ A == 0`` exactly in int64 with every partial sum bounded by
-    max|Y| * max|A| * (r_p + 1) < 2**62.  Those vectors are the identity on
-    the non-pivot rows, hence independent, so the rank over Q is at most r_p
-    as well.  Otherwise the rank comes from :func:`_bareiss_rank`.
+    max|Y| * max|A| * (r_p + 1) < 2**62, so that the pivot rows span every
+    row.  Otherwise the rows come from :func:`_bareiss_pivots`.
     """
     entries = np.asarray(matrix)
-    if entries.size == 0:
-        return 0
-    distinct = np.unique(np.unique(entries, axis=1), axis=0)
-    distinct = distinct[distinct.any(axis=1)]
+    distinct, first = np.unique(np.unique(entries, axis=1), axis=0, return_index=True)
+    nonzero = distinct.any(axis=1)
+    distinct, first = distinct[nonzero], first[nonzero]
     if not len(distinct):
-        return 0
+        return first
     max_entry = max(int(distinct.max()), -int(distinct.min()))
-    if entries.dtype.kind not in "biu" or max_entry >= _CERTIFIED_SUM:
-        return _bareiss_rank(distinct.tolist())
-    distinct = distinct.astype(np.int64)
-    rank, pivots, y_pivot = _left_kernel_mod_p(distinct)
-    if rank == len(distinct):
-        return rank
-    free = np.setdiff1d(np.arange(len(distinct)), pivots)
-    max_y = max(1, int(np.abs(y_pivot).max(initial=0)))
-    if (max_y * max_entry * (rank + 1) < _CERTIFIED_SUM
-            and not (distinct[free] + y_pivot @ distinct[pivots]).any()):
-        return rank
-    return _bareiss_rank(distinct.tolist())
+    if entries.dtype.kind in "biu" and max_entry < _CERTIFIED_SUM:
+        distinct = distinct.astype(np.int64)
+        rank, pivots, y_pivot = _left_kernel_mod_p(distinct)
+        free = np.setdiff1d(np.arange(len(distinct)), pivots)
+        max_y = max(1, int(np.abs(y_pivot).max(initial=0)))
+        if rank == len(distinct) or (max_y * max_entry * (rank + 1) < _CERTIFIED_SUM
+                                     and not (distinct[free] + y_pivot @ distinct[pivots]).any()):
+            return np.sort(first[pivots])
+    return np.sort(first[_bareiss_pivots(distinct.tolist())])
+
+
+def integer_rank(matrix: np.ndarray) -> int:
+    """Exact rank over the rationals of an integer matrix: the number of
+    :func:`independent_rows`."""
+    return len(independent_rows(matrix))
 
 
 def float_rank(matrix: np.ndarray, rtol: float = 1e-8) -> int:
@@ -279,23 +283,6 @@ def ambiguous_pair(n: int, k: int, m: int = 2) -> np.ndarray:
                             continue
                         return pair
     raise RuntimeError(f"no ambiguous pair found for N={n}, K={k}, M={m}")
-
-
-def independent_operator_set(k: int, m: int = 2) -> list[Motif]:
-    """One motif per conjugate pair (the lexicographically smaller one): all
-    2**(K-1) motifs starting with label 0."""
-    if m != 2:
-        raise ValueError("independent operator selection is defined for M=2")
-    return [mo for mo in all_motifs(2, k) if mo[0] == 0]
-
-
-def class_averaged_counts(members: np.ndarray, motif: Motif, m: int) -> Fraction:
-    """Exact mean motif count over an equivalence class, given as the
-    ``(S, N)`` label array of its members."""
-    if not len(members):
-        raise ValueError("empty equivalence class")
-    total = int(motif_count_rows(members, [motif], m).sum())
-    return Fraction(total, len(members))
 
 
 def motif_symmetry_classes(k: int, m: int) -> list[tuple[Motif, ...]]:

@@ -24,7 +24,7 @@ from spinmotif.ansatz import (
     unpack_gradient,
 )
 from spinmotif.exact import exact_mev, ground_state
-from spinmotif.motif import all_motifs, motif_count_matrix
+from spinmotif.motif import all_motifs, integer_rank, motif_count_matrix, motif_count_rows
 from spinmotif.spinchain import enumerate_basis
 
 
@@ -145,18 +145,21 @@ def test_relu_subgradient_at_zero_is_zero():
 
 class TestMaxEnt:
     def test_fit_reproduces_targets(self):
-        gs = ground_state(8, 2, gauge=True)
-        basis = gs.states
-        for k in (2, 3):
+        # (N, K, M, tol): K > N/2 at (8, 6); M = 3 at (9, 3)
+        for n, k, m, tol in [(8, 2, 2, 1e-8), (8, 3, 2, 1e-8), (8, 6, 2, 1e-10),
+                             (16, 5, 2, 1e-10), (9, 3, 3, 1e-10)]:
+            gs = ground_state(n, m, gauge=(m == 2))
+            basis = gs.states
             targets = exact_mev(gs, k)
-            mp = fit_maxent(targets, basis, k)
-            probs = maxent_state_probs(mp, basis)
-            model = np.zeros(2**k)
-            for s, pr in zip(basis, probs):
-                model += pr * motif_count_matrix(s[None], k, 2)[:, 0] / 8.0
-            for mo in mp.motifs:
-                idx = sum(x * 2**i for i, x in enumerate(reversed(mo)))
-                assert model[idx] == pytest.approx(targets[mo], abs=1e-8)
+            mp = fit_maxent(targets, basis, k, m=m, tol=tol)
+            probs = maxent_state_probs(mp, basis, m)
+            model = probs @ motif_count_matrix(basis, k, m).T / n
+            assert model == pytest.approx([targets[mo] for mo in all_motifs(m, k)], abs=1e-8)
+            ops = motif_count_rows(basis, mp.motifs, m)
+            assert (len(mp.motifs) == integer_rank(ops)
+                    == integer_rank(motif_count_matrix(basis, k, m)))
+            hessian = 2.0 * (ops * probs) @ ops.T
+            assert np.linalg.eigvalsh(hessian)[0] > 0.0
 
     def test_full_k_limit_recovers_state_probabilities(self):
         gs = ground_state(6, 2, gauge=True)

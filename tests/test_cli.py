@@ -63,6 +63,12 @@ def _raise_memory_error(*args, **kwargs):
     pytest.param(["basis", "--config", "m-null.json"], None, id="basis-m-null"),
     pytest.param(["basis", "--config", "n-fraction.json"], None, id="basis-n-fraction"),
     pytest.param(["motif-rank", "-n", "8", "--k-max", "-3"], None, id="motif-rank-k-max-negative"),
+    pytest.param(["train", "--config", "eta-null.json"], None, id="train-eta-null"),
+    pytest.param(["train", "--config", "eta-nan-text.json"], None, id="train-eta-nan-text"),
+    pytest.param(["train", "-n", "8", "--eta", "0"], None, id="train-eta-zero"),
+    pytest.param(["cft", "--config", "beta-list.json"], None, id="cft-beta-list"),
+    pytest.param(["cft", "-k", "3", "--beta", "nan"], None, id="cft-beta-nan"),
+    pytest.param(["cft", "-k", "3", "--beta", "inf"], None, id="cft-beta-inf"),
 ])
 def test_invalid_config_is_exit_2(runner, tmp_path, monkeypatch, args, target):
     monkeypatch.chdir(tmp_path)
@@ -79,6 +85,9 @@ def test_invalid_config_is_exit_2(runner, tmp_path, monkeypatch, args, target):
     (tmp_path / "seeds-scalar.json").write_text(json.dumps({"N": 8, "seeds": 5}))
     (tmp_path / "m-null.json").write_text(json.dumps({"N": 8, "M": None}))
     (tmp_path / "n-fraction.json").write_text(json.dumps({"N": 8.5}))
+    (tmp_path / "eta-null.json").write_text(json.dumps({"N": 8, "eta": None}))
+    (tmp_path / "eta-nan-text.json").write_text(json.dumps({"N": 8, "eta": "nan"}))
+    (tmp_path / "beta-list.json").write_text(json.dumps({"K": 3, "beta": [1]}))
     if target:
         monkeypatch.setattr(*target, _raise_memory_error)
     out = tmp_path / "x"

@@ -1,7 +1,5 @@
 """Motif counting, exact rank, ambiguity construction, operator selection."""
 
-from fractions import Fraction
-
 import numpy as np
 import pytest
 from conftest import orbit, tuples
@@ -10,15 +8,14 @@ from hypothesis import given, settings, strategies as st
 from spinmotif import motif
 from spinmotif.motif import (
     PRIME,
-    _bareiss_rank,
+    _bareiss_pivots,
     _left_kernel_mod_p,
     all_motifs,
     ambiguous_pair,
-    class_averaged_counts,
     conjugate,
     critical_kernel_size,
     float_rank,
-    independent_operator_set,
+    independent_rows,
     integer_rank,
     motif_count_matrix,
     motif_count_rows,
@@ -105,7 +102,6 @@ def test_motif_count_rows_above_the_full_matrix_cap():
     expected = [[sum((t + t)[i : i + 28] == mo for i in range(28)) for t in cls]
                 for mo in picked]
     assert np.array_equal(counts, expected)
-    assert class_averaged_counts(members, picked[0], 2) == Fraction(sum(expected[0]), len(cls))
     with pytest.raises(ValueError):
         motif_count_rows(members, [picked[0], picked[0]], 2)
 
@@ -142,7 +138,10 @@ def redundant_integer_matrices(draw):
 
 @given(redundant_integer_matrices())
 def test_integer_rank_equals_undeduplicated_elimination(mat):
-    assert integer_rank(mat) == _bareiss_rank(mat.tolist())
+    rank = len(_bareiss_pivots(mat.tolist()))
+    assert integer_rank(mat) == rank
+    rows = independent_rows(mat)
+    assert len(rows) == rank == len(_bareiss_pivots(mat[rows].tolist()))
 
 
 @pytest.fixture
@@ -152,9 +151,9 @@ def bareiss_calls(monkeypatch):
 
     def counting(rows):
         calls.append(len(rows))
-        return _bareiss_rank(rows)
+        return _bareiss_pivots(rows)
 
-    monkeypatch.setattr(motif, "_bareiss_rank", counting)
+    monkeypatch.setattr(motif, "_bareiss_pivots", counting)
     return calls
 
 
@@ -169,7 +168,8 @@ def bareiss_calls(monkeypatch):
 ])
 def test_uncertified_rank_falls_back_to_bareiss(bareiss_calls, mat, rank):
     mat = np.array(mat, dtype=np.int64)
-    assert integer_rank(mat) == rank
+    rows = independent_rows(mat)
+    assert len(rows) == rank == len(_bareiss_pivots(mat[rows].tolist()))
     assert len(bareiss_calls) == 1
     rank_p, _, y_pivot = _left_kernel_mod_p(mat)
     assert rank_p < len(mat)
@@ -279,26 +279,6 @@ def test_ambiguous_pair_construction(n, k, m):
 def test_ambiguous_pair_requires_small_k():
     with pytest.raises(ValueError):
         ambiguous_pair(9, 3, 3)
-
-
-def test_independent_operator_set():
-    ops = independent_operator_set(3)
-    assert len(ops) == 4
-    assert all(mo[0] == 0 for mo in ops)
-    # the conjugates cover the rest exactly once
-    assert sorted(ops + [conjugate(mo) for mo in ops]) == all_motifs(2, 3)
-
-
-def test_class_averaged_counts_exact():
-    basis = enumerate_basis(6, 2)
-    part = partition_classes(basis, 2)
-    for c in range(len(part)):
-        members = basis[part.class_ids == c]
-        cls = tuples(members)
-        for mo in all_motifs(2, 2):
-            avg = class_averaged_counts(members, mo, 2)
-            total = int(reference_count_matrix(cls, 2, 2)[motif_index(mo, 2)].sum())
-            assert avg == total / len(cls) or avg.denominator > 1
 
 
 def test_motif_symmetry_classes_partition():
