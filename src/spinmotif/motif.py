@@ -185,7 +185,15 @@ def independent_rows(matrix: np.ndarray) -> np.ndarray:
     row.  Otherwise the rows come from :func:`_bareiss_pivots`.
     """
     entries = np.asarray(matrix)
-    distinct, first = np.unique(np.unique(entries, axis=1), axis=0, return_index=True)
+    if entries.dtype == object:  # Python integers: np.unique has no axis for them
+        columns = list(dict.fromkeys(map(tuple, entries.T)))
+        rows: dict[tuple, int] = {}
+        for i, row in enumerate(zip(*columns)):
+            rows.setdefault(row, i)
+        distinct = np.array(list(rows), dtype=object).reshape(len(rows), len(columns))
+        first = np.fromiter(rows.values(), dtype=np.intp, count=len(rows))
+    else:
+        distinct, first = np.unique(np.unique(entries, axis=1), axis=0, return_index=True)
     nonzero = distinct.any(axis=1)
     distinct, first = distinct[nonzero], first[nonzero]
     if not len(distinct):

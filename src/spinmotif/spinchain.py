@@ -93,6 +93,7 @@ class EquivalenceClassPartition:
 
     class_ids: np.ndarray  # (S,) class index per basis state
     n_classes: int
+    representatives: np.ndarray  # (n_classes,) basis index of each lex-min member
 
     def __len__(self) -> int:
         return self.n_classes
@@ -136,10 +137,12 @@ def partition_classes(states: np.ndarray, m: int) -> EquivalenceClassPartition:
     reflections and relabelings.  Representatives are the lexicographically
     smallest members, and a class's canonical code is its representative's
     code, so sorting the distinct canonical codes orders the classes by
+    representative.  In a lex-sorted basis a class's first member is its
     representative.
     """
-    reps, class_ids = np.unique(canonical_codes(states, m), return_inverse=True)
-    return EquivalenceClassPartition(class_ids, len(reps))
+    codes, first, class_ids = np.unique(canonical_codes(states, m), return_index=True,
+                                        return_inverse=True)
+    return EquivalenceClassPartition(class_ids, len(codes), first)
 
 
 def class_count_lower_bound(n: int, m: int) -> Fraction:

@@ -28,7 +28,12 @@ from spinmotif.exact import (
     truncation_size,
 )
 from spinmotif.motif import all_motifs, conjugate, motif_count_matrix, motif_index
-from spinmotif.spinchain import enumerate_basis, marshall_signs, partition_classes
+from spinmotif.spinchain import (
+    enumerate_basis,
+    marshall_signs,
+    partition_classes,
+    state_codes,
+)
 
 
 def heisenberg_e0(n):
@@ -120,8 +125,38 @@ def reference_rdm(gs, k):
     return rho
 
 
+def searchsorted_hamiltonian(states, gauge=False):
+    """Code-search build: per bond, the unlike states' swapped codes by digit
+    arithmetic, their rows by ``searchsorted``, then COO -> CSR."""
+    dim, n = states.shape
+    m = int(states.max()) + 1
+    codes = state_codes(states, m)
+    signs = marshall_signs(states) if gauge else None
+    place = m ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    diag = np.zeros(dim)
+    rows, cols, vals = [], [], []
+    for i in range(n):
+        j = (i + 1) % n
+        a, b = states[:, i], states[:, j]
+        unlike = np.flatnonzero(a != b)
+        diag += a == b
+        delta = b[unlike].astype(np.int64) - a[unlike]
+        row = np.searchsorted(codes, codes[unlike] + delta * (place[i] - place[j]))
+        rows.append(row)
+        cols.append(unlike)
+        vals.append(np.ones(len(unlike)) if signs is None else signs[unlike] * signs[row])
+    occupied = np.flatnonzero(diag)
+    rows.append(occupied)
+    cols.append(occupied)
+    vals.append(diag[occupied])
+    return sp.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(dim, dim),
+    )
+
+
 @pytest.mark.parametrize("n,m,gauge", [
-    (n, m, gauge) for m in (2, 3) for n in range(2, 11) if n % m == 0 and n >= m
+    (n, m, gauge) for m in (2, 3, 4) for n in range(2, 11) if n % m == 0 and n >= m
     for gauge in ((False, True) if m == 2 else (False,))
 ])
 def test_hamiltonian_matches_tuple_reference(n, m, gauge):
@@ -130,6 +165,29 @@ def test_hamiltonian_matches_tuple_reference(n, m, gauge):
     ref = reference_hamiltonian(tuples(states), gauge=gauge)
     assert h.nnz == ref.nnz
     assert np.array_equal(h.toarray(), ref.toarray())
+
+
+@pytest.mark.parametrize("n,m,gauge", [
+    *[(n, 2, gauge) for n in (12, 14, 16) for gauge in (False, True)],
+    (9, 3, False), (12, 3, False),
+])
+def test_hamiltonian_csr_equals_searchsorted_build(n, m, gauge):
+    states = enumerate_basis(n, m)
+    h = build_hamiltonian(states, gauge=gauge)
+    ref = searchsorted_hamiltonian(states, gauge=gauge)
+    assert h.has_canonical_format
+    assert np.array_equal(h.indptr, ref.indptr)
+    assert np.array_equal(h.indices, ref.indices)
+    assert np.array_equal(h.data, ref.data)
+
+
+@pytest.mark.parametrize("states", [
+    enumerate_basis(6, 3),
+    np.array([[0, 0, 1], [0, 1, 0], [1, 0, 0]], dtype=np.uint8),  # odd N
+])
+def test_gauge_needs_two_species_and_even_n(states):
+    with pytest.raises(ValueError):
+        build_hamiltonian(states, gauge=True)
 
 
 @pytest.mark.parametrize("n,m,gauge", [(8, 2, True), (8, 2, False), (6, 3, False)])
@@ -213,8 +271,7 @@ def test_sector_hamiltonian_is_projected_gauged_hamiltonian(n):
     states = enumerate_basis(n, 2)
     part = partition_classes(states, 2)
     sizes = np.bincount(part.class_ids)
-    first = np.unique(part.class_ids, return_index=True)[1]
-    h_sym = sector_hamiltonian(states[first], sizes).toarray()
+    h_sym = sector_hamiltonian(states[part.representatives], sizes).toarray()
     # P: normalized class indicators, one column per class
     p = np.zeros((len(states), len(part)))
     p[np.arange(len(states)), part.class_ids] = 1.0 / np.sqrt(sizes[part.class_ids])

@@ -142,6 +142,15 @@ def test_integer_rank_equals_undeduplicated_elimination(mat):
     assert integer_rank(mat) == rank
     rows = independent_rows(mat)
     assert len(rows) == rank == len(_bareiss_pivots(mat[rows].tolist()))
+    rows = independent_rows(mat.astype(object))
+    assert len(rows) == rank == len(_bareiss_pivots(mat[rows].tolist()))
+
+
+def test_python_integer_entries_past_int64():
+    mat = np.array([[2**70, 1], [2**71, 2], [0, 1]], dtype=object)
+    assert integer_rank(mat) == 2
+    rows = independent_rows(mat).tolist()
+    assert rows in ([0, 2], [1, 2])
 
 
 @pytest.fixture

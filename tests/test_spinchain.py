@@ -88,6 +88,7 @@ def test_partition_is_a_partition(size):
     # representatives (first members in the lex basis) come out in lex order
     first = np.unique(part.class_ids, return_index=True)[1]
     assert (np.diff(first) > 0).all()
+    assert np.array_equal(part.representatives, first)
 
 
 def reference_classes(basis, m):
