@@ -220,13 +220,18 @@ def motif_rank(cfg: dict, out_dir: Path) -> None:
 
 @command("exact", SITES, SPECIES, KERNEL)
 def exact_cmd(cfg: dict, out_dir: Path) -> None:
-    """Ground-state solve with MEVs, spectra, truncation and class-mass curves."""
+    """Ground-state solve with MEVs, spectra, truncation and class-mass curves.
+
+    rho_K is built once from the ground state; the smaller RDMs of the
+    truncation curve are traced out of it."""
     n, m = _int(cfg.get("N"), "N"), _int(cfg.get("M", 2), "M")
     k = _int(cfg.get("K", min(4, n // 2)), "K", 1, n)
     _echo_config(out_dir, "exact", {"N": n, "M": m, "K": k})
     gs = exact.ground_state(n, m, gauge=(m == 2))
     trunc_ks = range(1, min(k, n // 2) + 1)
-    rdms = {kk: exact.reduced_density_matrix(gs, kk) for kk in sorted({*trunc_ks, k})}
+    rho_k = exact.reduced_density_matrix(gs, k)
+    rdms = {kk: exact.partial_trace(rho_k, kk) for kk in trunc_ks if kk < k}
+    rdms[k] = rho_k
     _atomic_write(out_dir / "exact.json", json.dumps({
         "N": n, "M": m, "K": k, "gauge": gs.gauge, "solver": gs.solver,
         "E0": gs.e0, "Emax": gs.emax, "gap_estimate": exact.gap_estimate(gs),

@@ -306,6 +306,17 @@ def reduced_density_matrix(gs: GroundStateSolution, k: int) -> ReducedDensityMat
     return ReducedDensityMatrix(rho=rho, k=k, m=gs.m)
 
 
+def partial_trace(rdm: ReducedDensityMatrix, k: int) -> ReducedDensityMatrix:
+    """rho_k of the first k of rho_K's K sites, traced out of rho_K rather
+    than rebuilt from the ground state: rho_K reshaped to (M^k, M^(K-k), M^k,
+    M^(K-k)) has its axes 1 and 3 traced."""
+    if not 1 <= k <= rdm.k:
+        raise ValueError(f"k={k} outside 1..{rdm.k}")
+    keep, rest = rdm.m**k, rdm.m ** (rdm.k - k)
+    rho = np.trace(rdm.rho.reshape(keep, rest, keep, rest), axis1=1, axis2=3)
+    return ReducedDensityMatrix(rho=rho, k=k, m=rdm.m)
+
+
 def rdm_mev(rdm: ReducedDensityMatrix, scale: float = 1.0) -> dict[Motif, float]:
     """Diagonal of rho_K per motif (lexicographic order), times ``scale``."""
     diag = np.diag(rdm.rho).tolist()

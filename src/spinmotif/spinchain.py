@@ -74,12 +74,13 @@ def enumerate_basis(n: int, m: int, cap: int = DEFAULT_BASIS_CAP) -> np.ndarray:
     return states
 
 
-def state_codes(states: np.ndarray, m: int) -> np.ndarray:
-    """Base-m int64 code of each row, site 0 most significant, so code order
-    is lexicographic order and a sorted basis has sorted codes."""
+def state_codes(states: np.ndarray, m: int, dtype: type = np.int64) -> np.ndarray:
+    """Base-m code of each row, site 0 most significant, so code order is
+    lexicographic order and a sorted basis has sorted codes.  Codes are int64
+    unless a narrower ``dtype`` that holds them is asked for."""
     if float(m) ** states.shape[1] >= 2.0**63:
         raise BasisTooLargeError(f"{m}**{states.shape[1]} codes overflow int64")
-    codes = np.zeros(len(states), dtype=np.int64)
+    codes = np.zeros(len(states), dtype=dtype)
     for column in states.T:
         codes *= m
         codes += column
@@ -99,18 +100,30 @@ class EquivalenceClassPartition:
         return self.n_classes
 
 
+def _rotation_extremes(states: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Smallest and largest code among the N cyclic rotations of each row of
+    a ``(S, N)`` label array, in one pass over the rotations.  The codes are
+    int32, which halves the memory traffic, while code*M fits it, else int64."""
+    n = states.shape[1]
+    dtype = np.int32 if m ** (n + 1) < 2**31 else np.int64
+    code = state_codes(states, m, dtype)
+    # rotating code c with lead digit d gives c*m - d*(m**n - 1)
+    wrap = dtype(m**n - 1)
+    lo, hi = code.copy(), code.copy()
+    shed = np.empty_like(code)
+    for lead in states.T[:-1]:
+        code *= m
+        np.multiply(lead, wrap, out=shed)
+        code -= shed
+        np.minimum(lo, code, out=lo)
+        np.maximum(hi, code, out=hi)
+    return lo, hi
+
+
 def rotation_min_codes(states: np.ndarray, m: int) -> np.ndarray:
     """Smallest code among the N cyclic rotations of each row of a ``(S, N)``
     label array: the code of the row's lexicographically smallest translate."""
-    n = states.shape[1]
-    wrap = m**n - 1  # rotating code c with lead digit d gives c*m - d*(m**n - 1)
-    code = state_codes(states, m)
-    best = code.copy()
-    for lead in states.T[:-1]:
-        code *= m
-        code -= lead.astype(np.int64) * wrap
-        np.minimum(best, code, out=best)
-    return best
+    return _rotation_extremes(states, m)[0].astype(np.int64)
 
 
 def translation_representatives(states: np.ndarray, m: int) -> np.ndarray:
@@ -120,29 +133,52 @@ def translation_representatives(states: np.ndarray, m: int) -> np.ndarray:
     return states[rotation_min_codes(states, m) == state_codes(states, m)]
 
 
+#: Rows per block of :func:`canonical_codes`, so that its temporaries
+#: stay in cache.
+_BLOCK_ROWS = 8192
+
+
 def canonical_codes(states: np.ndarray, m: int) -> np.ndarray:
     """Smallest code in each state's orbit: the minimum over relabelings,
-    {identity, reflection} and the N cyclic rotations."""
-    best = np.full(len(states), np.iinfo(np.int64).max)
-    sites = np.ascontiguousarray(states.T)  # (N, S): one contiguous row per site
-    for perm in permutations(range(m)):
-        relabeled = np.asarray(perm, dtype=np.uint8)[sites]
-        for oriented in (relabeled, relabeled[::-1]):
-            np.minimum(best, rotation_min_codes(oriented.T, m), out=best)
+    {identity, reflection} and the N cyclic rotations.
+
+    The complement relabeling x -> M-1-x maps code c to M^N-1-c and commutes
+    with rotation and reflection, so the complement of relabeling pi has its
+    smallest rotation code at M^N-1 minus pi's largest.  Only the half of the
+    relabelings with pi[0] < pi[M-1] are scanned, each for its rotation minimum
+    and maximum, one block of rows at a time.
+    """
+    top = m ** states.shape[1] - 1  # the complement of code c is top - c
+    best = np.empty(len(states), dtype=np.int64)
+    perms = [np.asarray(p, dtype=np.uint8) for p in permutations(range(m)) if p[0] < p[-1]]
+    for start in range(0, len(states), _BLOCK_ROWS):
+        block = states[start:start + _BLOCK_ROWS]
+        sites = np.ascontiguousarray(block.T)  # (N, B): one contiguous row per site
+        low = np.full(len(block), np.iinfo(np.int64).max)
+        high = np.full(len(block), -1, dtype=np.int64)
+        for perm in perms:
+            relabeled = perm[sites]
+            for oriented in (relabeled, relabeled[::-1]):
+                lo, hi = _rotation_extremes(oriented.T, m)
+                np.minimum(low, lo, out=low)
+                np.maximum(high, hi, out=high)
+        np.minimum(low, top - high, out=best[start:start + _BLOCK_ROWS])
     return best
 
 
 def partition_classes(states: np.ndarray, m: int) -> EquivalenceClassPartition:
-    """Partition a lex-sorted basis into orbits under translations,
-    reflections and relabelings.  Representatives are the lexicographically
-    smallest members, and a class's canonical code is its representative's
-    code, so sorting the distinct canonical codes orders the classes by
-    representative.  In a lex-sorted basis a class's first member is its
-    representative.
+    """Partition a lex-sorted basis that holds whole orbits (such as a sector
+    basis) into orbits under translations, reflections and relabelings.
+
+    Representatives are the lexicographically smallest members, the rows whose
+    code is their canonical code; in a lex-sorted basis they come in order of
+    that code, which is the class order, so each row's class is found by
+    binary search of its canonical code among theirs.
     """
-    codes, first, class_ids = np.unique(canonical_codes(states, m), return_index=True,
-                                        return_inverse=True)
-    return EquivalenceClassPartition(class_ids, len(codes), first)
+    canonical = canonical_codes(states, m)
+    representatives = np.flatnonzero(canonical == state_codes(states, m))
+    class_ids = np.searchsorted(canonical[representatives], canonical)
+    return EquivalenceClassPartition(class_ids, len(representatives), representatives)
 
 
 def class_count_lower_bound(n: int, m: int) -> Fraction:

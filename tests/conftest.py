@@ -1,9 +1,13 @@
-"""Helpers shared by the test modules: the tuple-loop reference
-implementations that the array code in ``spinmotif`` is checked against."""
+"""Helpers shared by the test modules: the tuple-loop and orientation-loop
+reference implementations that the array code in ``spinmotif`` is checked
+against."""
+
+from itertools import permutations
 
 import numpy as np
 
 from spinmotif.ansatz import _windows
+from spinmotif.spinchain import state_codes
 
 
 def tuples(states):
@@ -39,6 +43,32 @@ def orbit(s, m):
                     nxt.append(u)
         frontier = nxt
     return seen
+
+
+def rotation_min_codes_by_rotation(states, m):
+    """Smallest code among the N cyclic rotations of each row of a label
+    array, one rotation at a time."""
+    n = states.shape[1]
+    wrap = m**n - 1
+    code = state_codes(states, m)
+    best = code.copy()
+    for lead in states.T[:-1]:
+        code *= m
+        code -= lead.astype(np.int64) * wrap
+        np.minimum(best, code, out=best)
+    return best
+
+
+def canonical_codes_by_orientation(states, m):
+    """Smallest code in each row's orbit, scanning every relabeling and both
+    orientations of the whole array, with no complement pairing or blocks."""
+    best = np.full(len(states), np.iinfo(np.int64).max)
+    sites = np.ascontiguousarray(states.T)
+    for perm in permutations(range(m)):
+        relabeled = np.asarray(perm, dtype=np.uint8)[sites]
+        for oriented in (relabeled, relabeled[::-1]):
+            np.minimum(best, rotation_min_codes_by_rotation(oriented.T, m), out=best)
+    return best
 
 
 def marshall_sign(s):

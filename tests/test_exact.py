@@ -12,6 +12,7 @@ from spinmotif import exact
 from spinmotif.exact import (
     DegenerateGroundStateError,
     NumericalCheckError,
+    ReducedDensityMatrix,
     ResidualError,
     build_hamiltonian,
     calibrate_beta,
@@ -23,6 +24,7 @@ from spinmotif.exact import (
     exact_mev,
     gap_estimate,
     ground_state,
+    partial_trace,
     reduced_density_matrix,
     sector_hamiltonian,
     truncation_size,
@@ -196,6 +198,44 @@ def test_rdm_matches_env_map_reference(n, m, gauge):
     for k in (1, 2, 3, 4):
         rho = reduced_density_matrix(gs, k).rho
         assert np.abs(rho - reference_rdm(gs, k)).max() < 1e-14
+
+
+def long_double_rdm(gs, k):
+    """rho_k = A A^T with A[system, environment] = psi summed in long double,
+    the reference against which float64 rounding is measured."""
+    system, env = np.divmod(gs.codes, gs.m ** (gs.n - k))
+    _, env_ids = np.unique(env, return_inverse=True)
+    a = np.zeros((gs.m**k, env_ids.max() + 1), dtype=np.longdouble)
+    a[system, env_ids] = gs.physical_amplitudes()
+    return a @ a.T
+
+
+@pytest.mark.parametrize("n,m,gauge", [
+    *((n, 2, gauge) for n in range(4, 17, 2) for gauge in (True, False)),
+    (6, 3, False), (9, 3, False),
+])
+def test_partial_trace_matches_direct_rdm(n, m, gauge):
+    gs = ground_state(n, m, gauge=gauge)
+    big = min(n, 8 if m == 2 else 6)  # M=3 stops at 729 rows per rho
+    direct = {kk: reduced_density_matrix(gs, kk).rho for kk in range(1, big + 1)}
+    for kk in range(1, big):
+        reference = long_double_rdm(gs, kk)
+        for k in range(kk + 1, big + 1):
+            rho = partial_trace(ReducedDensityMatrix(direct[k], k, m), kk).rho
+            assert rho.shape == (m**kk, m**kk)
+            assert np.abs(rho - reference).max() < 1e-14
+            # the direct build sums up to S/2 amplitudes one by one: at N=16
+            # its rho_1 is 1.3e-14 off the long double sum, the trace 3e-15
+            assert np.abs(rho - direct[kk]).max() < 2e-14
+            assert np.trace(rho) == pytest.approx(1.0, abs=1e-12)
+            assert np.array_equal(rho, rho.T)
+
+
+@pytest.mark.parametrize("kk", [0, -1, 4, 5])
+def test_partial_trace_rejects_sizes_outside_one_to_k(kk):
+    rdm = reduced_density_matrix(ground_state(8, 2, gauge=True), 3)
+    with pytest.raises(ValueError):
+        partial_trace(rdm, kk)
 
 
 @pytest.mark.parametrize("n,m,gauge", [

@@ -6,16 +6,27 @@ from itertools import permutations
 
 import numpy as np
 import pytest
-from conftest import generators, marshall_sign, orbit, tuples
+from conftest import (
+    canonical_codes_by_orientation,
+    generators,
+    marshall_sign,
+    orbit,
+    rotation_min_codes_by_rotation,
+    tuples,
+)
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
+from spinmotif import spinchain
 from spinmotif.spinchain import (
     BasisTooLargeError,
     basis_size,
+    canonical_codes,
     class_count_lower_bound,
     enumerate_basis,
     marshall_signs,
     partition_classes,
+    rotation_min_codes,
     state_codes,
     translation_representatives,
 )
@@ -121,6 +132,58 @@ def test_translation_representatives_one_per_rotation_orbit(n, m):
     reps = translation_representatives(states, m)
     reference = sorted({min(s[i:] + s[:i] for i in range(n)) for s in tuples(states)})
     assert tuples(reps) == reference
+
+
+@st.composite
+def _label_rows(draw):
+    """Unsorted rows of labels in 0..M-1 with no balance constraint, the kind
+    of input ``sector_hamiltonian`` passes (swapped representatives)."""
+    m = draw(st.integers(2, 4))
+    n = draw(st.integers(1, 12))
+    rows = draw(st.integers(1, 40))
+    return m, draw(arrays(np.uint8, (rows, n), elements=st.integers(0, m - 1)))
+
+
+@given(_label_rows())
+@settings(deadline=None)
+def test_canonical_codes_match_orientation_reference_on_label_rows(rows):
+    m, states = rows
+    assert np.array_equal(canonical_codes(states, m), canonical_codes_by_orientation(states, m))
+    assert np.array_equal(rotation_min_codes(states, m),
+                          rotation_min_codes_by_rotation(states, m))
+
+
+@pytest.mark.parametrize("n,m", [(29, 2), (30, 2), (32, 2), (18, 3), (19, 3), (14, 4), (15, 4)])
+def test_canonical_codes_match_reference_at_the_int32_limit(n, m):
+    # the rotation scan runs in int32 while M^(N+1) < 2^31: sizes on both
+    # sides of that limit per M, and N=32, whose codes no longer fit int32
+    states = np.random.default_rng(n * m).integers(0, m, (300, n)).astype(np.uint8)
+    assert np.array_equal(canonical_codes(states, m), canonical_codes_by_orientation(states, m))
+    rotation_min = rotation_min_codes(states, m)
+    assert rotation_min.dtype == np.int64
+    assert np.array_equal(rotation_min, rotation_min_codes_by_rotation(states, m))
+
+
+@pytest.mark.parametrize("n,m", [(16, 2), (18, 2), (12, 3)])
+def test_canonical_codes_match_reference_across_blocks(n, m):
+    states = enumerate_basis(n, m)
+    # more than one block, and a short last block
+    assert len(states) > spinchain._BLOCK_ROWS and len(states) % spinchain._BLOCK_ROWS
+    assert np.array_equal(canonical_codes(states, m), canonical_codes_by_orientation(states, m))
+    shuffled = states[np.random.default_rng(n).permutation(len(states))]
+    assert np.array_equal(canonical_codes(shuffled, m),
+                          canonical_codes_by_orientation(shuffled, m))
+
+
+@pytest.mark.parametrize("n", [16, 18])
+def test_partition_matches_unique_construction(n):
+    states = enumerate_basis(n, 2)
+    part = partition_classes(states, 2)
+    codes, first, class_ids = np.unique(canonical_codes_by_orientation(states, 2),
+                                        return_index=True, return_inverse=True)
+    assert part.n_classes == len(codes)
+    assert np.array_equal(part.class_ids, class_ids)
+    assert np.array_equal(part.representatives, first)
 
 
 def test_sector_states_match_permutation_reference():
