@@ -120,35 +120,36 @@ def outlier_filter(
 
 @dataclass
 class MotifClassTable:
-    """Motif classes with equal truth MEVs, ordered by descending MEV."""
+    """Motif classes with equal truth MEVs, ordered by descending MEV; each
+    class is a sorted array of motif codes."""
 
-    classes: list[tuple[Motif, ...]]
+    classes: list[np.ndarray]
     mevs: list[float]
 
     @property
-    def representatives(self) -> list[Motif]:
-        return [cls[0] for cls in self.classes]
+    def representatives(self) -> np.ndarray:
+        """The smallest code of each class."""
+        return np.array([cls[0] for cls in self.classes], dtype=np.int64)
 
     def __len__(self) -> int:
         return len(self.classes)
 
 
-def mev_class_ordering(truth: dict[Motif, float], tol: float = 1e-9) -> MotifClassTable:
-    """Group motifs whose truth MEVs agree within tol; classes sorted by
+def mev_class_ordering(truth: np.ndarray, tol: float = 1e-9) -> MotifClassTable:
+    """Group the motif codes of an MEV array whose truth MEVs agree within
+    tol with the first (largest) MEV of their class; classes sorted by
     descending MEV (Neel class first for the antiferromagnetic chain)."""
-    items = sorted(truth.items(), key=lambda kv: (-kv[1], kv[0]))
-    classes: list[list[Motif]] = []
+    truth = np.asarray(truth, dtype=float)
+    classes: list[list[int]] = []
     anchors: list[float] = []
-    for motif, value in items:
-        if classes and abs(anchors[-1] - value) <= tol:
-            classes[-1].append(motif)
+    for code in np.argsort(-truth, kind="stable").tolist():
+        if classes and abs(anchors[-1] - truth[code]) <= tol:
+            classes[-1].append(code)
         else:
-            classes.append([motif])
-            anchors.append(value)
-    mevs = [float(np.mean([truth[mo] for mo in cls])) for cls in classes]
-    return MotifClassTable(
-        classes=[tuple(sorted(cls)) for cls in classes], mevs=mevs
-    )
+            classes.append([code])
+            anchors.append(truth[code])
+    return MotifClassTable(classes=[np.sort(cls) for cls in classes],
+                           mevs=[float(truth[cls].mean()) for cls in classes])
 
 
 @dataclass
@@ -160,20 +161,22 @@ class ErrorReport:
 
 def error_report(
     e_hat: float,
-    model_mevs: dict[Motif, float],
+    model_mevs: np.ndarray,
     gs: GroundStateSolution,
-    truth_mevs: dict[Motif, float],
+    truth_mevs: np.ndarray,
     n_classes: int | None = None,
 ) -> ErrorReport:
-    """Energy and per-class MEV errors of a trained model against the oracle."""
+    """Energy and per-class MEV errors of a trained model against the oracle;
+    the MEVs are arrays in motif-code order."""
+    model_mevs, truth_mevs = np.asarray(model_mevs), np.asarray(truth_mevs)
     table = mev_class_ordering(truth_mevs)
     limit = len(table) if n_classes is None else min(n_classes, len(table))
     class_errors = []
     for cls, truth_val in zip(table.classes[:limit], table.mevs[:limit]):
         if truth_val == 0:
-            raise ValueError(f"zero truth MEV in class {cls[0]}")
-        errs = [(model_mevs[mo] - truth_mevs[mo]) / truth_mevs[mo] for mo in cls]
-        class_errors.append(float(np.mean(errs)))
+            raise ValueError(f"zero truth MEV in the class of motif code {cls[0]}")
+        errs = (model_mevs[cls] - truth_mevs[cls]) / truth_mevs[cls]
+        class_errors.append(float(errs.mean()))
     gap = gap_estimate(gs)
     delta = e_hat - gs.e0
     return ErrorReport(

@@ -18,13 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .motif import (
-    Motif,
-    all_motifs,
-    independent_rows,
-    motif_count_matrix,
-    motif_count_rows,
-)
+from .motif import independent_rows, motif_count_matrix, motif_count_rows, motif_digits
 
 
 @dataclass(frozen=True)
@@ -88,29 +82,26 @@ def cps_logpsi(coeffs: np.ndarray, states: np.ndarray, m: int) -> np.ndarray:
 
 
 def cnn_as_cps(p: CnnParams) -> np.ndarray:
-    """CPS coefficients v*sigma(w.s'+b), motifs s' in lex order: the CNN exactly."""
-    motifs = np.array(all_motifs(p.m, p.k), dtype=np.intp)
-    pre = p.w[np.arange(p.k), motifs].sum(axis=1) + p.b
+    """CPS coefficients v*sigma(w.s'+b), motifs s' in code order: the CNN exactly."""
+    pre = p.w[np.arange(p.k), motif_digits(p.m, p.k)].sum(axis=1) + p.b
     return p.v * np.maximum(pre, 0.0)
 
 
 @dataclass(frozen=True)
 class MaxEntParams:
-    """Lagrange multipliers on an independent operator set, plus ln Z."""
+    """Lagrange multipliers on an independent operator set of K-motif codes,
+    plus ln Z."""
 
-    motifs: tuple[Motif, ...]
+    codes: np.ndarray  # int64 operator codes
+    k: int
     lam: np.ndarray
     ln_z: float
-
-    @property
-    def k(self) -> int:
-        return len(self.motifs[0])
 
 
 def maxent_logpsi(mp: MaxEntParams, states: np.ndarray, m: int = 2) -> np.ndarray:
     """ln psi of each row of an ``(S, N)`` label array: sum over the
     independent set of lambda * count, minus ln Z."""
-    return mp.lam @ motif_count_rows(states, mp.motifs, m) - mp.ln_z
+    return mp.lam @ motif_count_rows(states, mp.codes, mp.k, m) - mp.ln_z
 
 
 def grandsum(p: CnnParams) -> float:
@@ -168,7 +159,7 @@ class MaxEntFitError(RuntimeError):
 
 
 def fit_maxent(
-    targets: dict[Motif, float],
+    targets: np.ndarray,
     basis: np.ndarray,
     k: int,
     *,
@@ -179,8 +170,9 @@ def fit_maxent(
     """Fit multipliers so the model MEVs match targets on the independent set.
 
     ``basis`` is the ``(S, N)`` label array the model is normalized over.
-    Targets use the probability convention (diagonal of rho_K); the model is
-    P(s) proportional to exp(2 * sum lambda * count).  The operators are the
+    Targets are one MEV per K-motif in code order, in the probability
+    convention (diagonal of rho_K); the model is P(s) proportional to
+    exp(2 * sum lambda * count).  The operators are the
     :func:`~spinmotif.motif.independent_rows` of the count matrix on the
     basis, so their number is its rank and the multipliers are unique.  The
     constant sum of counts lies in their span, so damped Newton with Cholesky
@@ -189,19 +181,18 @@ def fit_maxent(
     """
     n = basis.shape[1]
     counts = motif_count_matrix(basis, k, m)
+    targets = np.asarray(targets, dtype=float)
+    if targets.shape != (len(counts),):
+        raise ValueError(f"need {len(counts)} targets, one per motif code, got shape "
+                         f"{targets.shape}")
     rows = independent_rows(counts)
-    motifs = all_motifs(m, k)
-    ops = [motifs[i] for i in rows]
-    missing = [mo for mo in ops if mo not in targets]
-    if missing:
-        raise ValueError(f"targets missing independent motifs: {missing[:3]}...")
-    t_counts = np.array([targets[mo] for mo in ops]) * n  # count convention
+    t_counts = targets[rows] * n  # count convention
     c_mat = counts[rows].T.astype(float, order="C")
 
     def dual(l_vec: np.ndarray) -> float:
         return 0.5 * np.exp(2.0 * c_mat @ l_vec).sum() - l_vec @ t_counts
 
-    lam = np.zeros(len(ops))
+    lam = np.zeros(len(rows))
     residual = np.inf
     for _ in range(max_iter):
         prob = np.exp(2.0 * c_mat @ lam)
@@ -224,7 +215,7 @@ def fit_maxent(
     logw = 2.0 * c_mat @ lam
     shift = logw.max()
     ln_z = 0.5 * (shift + np.log(np.exp(logw - shift).sum()))
-    return MaxEntParams(motifs=tuple(ops), lam=lam, ln_z=ln_z)
+    return MaxEntParams(codes=rows.astype(np.int64), k=k, lam=lam, ln_z=ln_z)
 
 
 def maxent_state_probs(mp: MaxEntParams, basis: np.ndarray, m: int = 2) -> np.ndarray:

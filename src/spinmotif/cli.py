@@ -110,9 +110,14 @@ def _state_str(s) -> str:
     return "".join(str(x) for x in s)
 
 
-def _write_mev(out: Path, table: dict, n: int) -> None:
+def _motif_rows(mev: np.ndarray, m: int, k: int) -> list[tuple[str, float]]:
+    """(label text, MEV) per K-motif of an MEV array in motif-code order."""
+    return [(_state_str(mo), v) for mo, v in zip(motif.all_motifs(m, k), mev.tolist())]
+
+
+def _write_mev(out: Path, mev: np.ndarray, m: int, k: int, n: int) -> None:
     _write_csv(out / "mev.csv", ["motif", "probability", "count"],
-               [[_state_str(mo), f"{v!r}", f"{v * n!r}"] for mo, v in table.items()])
+               [[mo, f"{v!r}", f"{v * n!r}"] for mo, v in _motif_rows(mev, m, k)])
 
 
 def _int(value, name: str, lo: float = -np.inf, hi: float = np.inf) -> int:
@@ -237,9 +242,9 @@ def exact_cmd(cfg: dict, out_dir: Path) -> None:
         "E0": gs.e0, "Emax": gs.emax, "gap_estimate": exact.gap_estimate(gs),
         "residual": gs.residual, "basis_size": len(gs.states),
         "sector_size": gs.sector_size, "trace_check": float(np.trace(rdms[k].rho)),
-        "class_count_99": exact.cumulative_class_mass(gs, gs.partition, 0.99),
+        "class_count_99": exact.cumulative_class_mass(gs, 0.99),
     }, indent=2) + "\n")
-    _write_mev(out_dir, exact.rdm_mev(rdms[k]), n)
+    _write_mev(out_dir, np.diag(rho_k.rho), m, k, n)
     spectra = {kk: exact.entanglement_spectrum(rdm) for kk, rdm in rdms.items()}
     _atomic_write(out_dir / "spectrum.json",
                   json.dumps({"K": k, "epsilon": list(spectra[k])}, indent=2) + "\n")
@@ -255,7 +260,7 @@ def mev(cfg: dict, out_dir: Path) -> None:
     k = _int(cfg.get("K"), "K", 1, n)
     _echo_config(out_dir, "mev", {"N": n, "M": m, "K": k})
     table = exact.exact_mev(exact.ground_state(n, m, gauge=(m == 2)), k)
-    _write_mev(out_dir, table, n)
+    _write_mev(out_dir, table, m, k, n)
     click.echo(f"{len(table)} motifs -> {out_dir}")
 
 
@@ -276,7 +281,7 @@ def cft(cfg: dict, out_dir: Path) -> None:
     table = exact.cft_mev(k, b)
     _atomic_write(out_dir / "beta.json", json.dumps({"K": k, "beta": b}) + "\n")
     _write_csv(out_dir / "cft_mev.csv", ["motif", "probability"],
-               [[_state_str(mo), f"{v!r}"] for mo, v in table.items()])
+               [[mo, f"{v!r}"] for mo, v in _motif_rows(table, 2, k)])
     click.echo(f"beta = {b:.6f} -> {out_dir}")
 
 

@@ -3,6 +3,7 @@
 Builds H = sum_i P_{i,i+1} on the zero-magnetization sector, solves for the
 extremal eigenpairs, and derives reduced density matrices, entanglement
 spectra, motif expectation values (MEVs), and the CFT thermal approximation.
+An MEV table is a float array with one entry per K-motif, in motif-code order.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .motif import Motif, all_motifs, motif_index
+from .motif import motif_digits
 from .spinchain import (
     EquivalenceClassPartition,
     canonical_codes,
@@ -224,14 +225,14 @@ def ground_state(
 
     M=2 diagonalizes the gauged Hamiltonian on the fully symmetric sector (one
     basis vector per equivalence class, :func:`sector_hamiltonian`), where the
-    Perron-Frobenius ground state lies; the sign of the sector vector is
-    checked, and E_max = N is certified by one matvec.  M >= 3 solves in the
-    full space and makes the first amplitude above 1e-6 of the largest
-    positive.  Either way the matrix is solved with dense ``eigh`` up to
-    ``dense_cap`` rows and with Lanczos above it, a gap below
-    ``DEGENERACY_TOL`` raises :class:`DegenerateGroundStateError`, and the
-    ground state's residual on the full Hamiltonian is checked; a failed
-    residual raises :class:`ResidualError`.
+    Perron-Frobenius ground state lies, and the sign of the sector vector is
+    checked.  M >= 3 solves in the full space and makes the first amplitude
+    above 1e-6 of the largest positive.  Either way the matrix is solved with
+    dense ``eigh`` up to ``dense_cap`` rows and with Lanczos above it, a gap
+    below ``DEGENERACY_TOL`` raises :class:`DegenerateGroundStateError`,
+    E_max = N is certified by one matvec, and the ground state's residual on
+    the full Hamiltonian is checked; a failed residual raises
+    :class:`ResidualError`.
     """
     states = enumerate_basis(n, m)
     h = build_hamiltonian(states, gauge=gauge)
@@ -247,6 +248,7 @@ def ground_state(
         raise DegenerateGroundStateError(
             f"{'sector ' if m == 2 else ''}gap {evals[1] - evals[0]:.3e} below "
             f"tolerance at N={n}, M={m}")
+    sym = np.ones(len(states))
     if m == 2:
         y = _perron_vector(vec, n)
         # positive in the gauge; the plain amplitudes carry the Marshall signs
@@ -254,14 +256,9 @@ def ground_state(
         if gauge:
             signs = sym = marshall_signs(states)
         else:
-            vec, sym = vec * marshall_signs(states), np.ones(len(states))
-        emax = _certified_emax(h, n, sym)
+            vec = vec * marshall_signs(states)
         sector_size = len(sizes)
     else:
-        if solver == "dense":
-            emax = float(evals[-1])
-        else:
-            emax = _certified_emax(h, n, np.ones(len(states)))
         vec = vec / np.linalg.norm(vec)
         # the amplitudes sum to ~0 (orthogonal to the all-ones E_max vector),
         # so the overall sign is fixed by the first clearly nonzero amplitude
@@ -269,6 +266,7 @@ def ground_state(
         if vec[np.argmax(mags > 1e-6 * mags.max())] < 0:
             vec = -vec
         sector_size = len(states)
+    emax = _certified_emax(h, n, sym)
     e0 = float(evals[0])
     residual = float(np.linalg.norm(h @ vec - e0 * vec))
     _check_residual("ground-state", residual, e0)
@@ -317,16 +315,10 @@ def partial_trace(rdm: ReducedDensityMatrix, k: int) -> ReducedDensityMatrix:
     return ReducedDensityMatrix(rho=rho, k=k, m=rdm.m)
 
 
-def rdm_mev(rdm: ReducedDensityMatrix, scale: float = 1.0) -> dict[Motif, float]:
-    """Diagonal of rho_K per motif (lexicographic order), times ``scale``."""
-    diag = np.diag(rdm.rho).tolist()
-    return {mo: p * scale for mo, p in zip(all_motifs(rdm.m, rdm.k), diag)}
-
-
-def exact_mev(gs: GroundStateSolution, k: int, counts: bool = False) -> dict[Motif, float]:
-    """Diagonal of rho_K per motif.  Probability convention by default; the
-    count convention multiplies by N."""
-    return rdm_mev(reduced_density_matrix(gs, k), gs.n if counts else 1.0)
+def exact_mev(gs: GroundStateSolution, k: int) -> np.ndarray:
+    """Diagonal of rho_K in motif-code order (probability convention; times N
+    it is the count convention)."""
+    return np.diag(reduced_density_matrix(gs, k).rho).copy()
 
 
 def entanglement_spectrum(rdm: ReducedDensityMatrix, cutoff: float = 1e-30) -> np.ndarray:
@@ -350,18 +342,21 @@ def truncation_size(weights: np.ndarray, fraction: float) -> int:
 
 def entanglement_hamiltonian(k: int, m: int = 2) -> np.ndarray:
     """H_K = sum over open-chain bonds of i(K-i)/K * P_{i,i+1} on the full
-    M^K product space (parabolic bond weights)."""
-    motifs = all_motifs(m, k)
-    dim = m**k
-    h = np.zeros((dim, dim))
-    for col, s in enumerate(motifs):
-        for i in range(k - 1):
-            coef = (i + 1) * (k - i - 1) / k
-            if s[i] == s[i + 1]:
-                h[col, col] += coef
-            else:
-                t = s[:i] + (s[i + 1], s[i]) + s[i + 2:]
-                h[motif_index(t, m), col] += coef
+    M^K product space (parabolic bond weights).
+
+    Swapping the labels a, b of sites i, i+1 adds (b - a) * (M^(K-1-i) -
+    M^(K-2-i)) to a motif's code, and leaves it alone when a == b (the
+    diagonal); every (swapped, code) entry is added in bond order.
+    """
+    digits = motif_digits(m, k)
+    codes = np.arange(m**k)
+    bonds = np.arange(k - 1)
+    place = m ** (k - 1 - bonds) - m ** (k - 2 - bonds)
+    swapped = codes + (digits[:, 1:] - digits[:, :-1]).T * place[:, None]  # (K-1, M^K)
+    coef = (bonds + 1) * (k - bonds - 1) / k
+    h = np.zeros((m**k, m**k))
+    np.add.at(h, (swapped, np.broadcast_to(codes, swapped.shape)),
+              np.broadcast_to(coef[:, None], swapped.shape))
     return h
 
 
@@ -374,33 +369,26 @@ def _entanglement_eigh(k: int, m: int) -> tuple[np.ndarray, np.ndarray]:
     return evals, evecs
 
 
-def cft_mev(k: int, beta: float, m: int = 2) -> dict[Motif, float]:
-    """Diagonal of exp(-beta * H_K)/Z in the product basis."""
+def cft_mev(k: int, beta: float, m: int = 2) -> np.ndarray:
+    """Diagonal of exp(-beta * H_K)/Z in the product basis, in motif-code order."""
     if not beta > 0:
         raise ValueError(f"beta must be positive, got {beta}")
     evals, evecs = _entanglement_eigh(k, m)
     w = np.exp(-beta * (evals - evals.min()))
     z = w.sum()
-    diag = (evecs**2 @ w) / z
-    return {mo: float(diag[motif_index(mo, m)]) for mo in all_motifs(m, k)}
-
-
-def cft_thermal_weights(k: int, beta: float, m: int = 2) -> np.ndarray:
-    evals, _ = _entanglement_eigh(k, m)
-    w = np.exp(-beta * (evals - evals.min()))
-    return w / w.sum()
+    return (evecs**2 @ w) / z
 
 
 def calibrate_beta(
     k: int,
-    reference: dict[Motif, float],
+    reference: np.ndarray,
     m: int = 2,
     lo: float = 1e-2,
     hi: float = 1e2,
     tol: float = 1e-9,
 ) -> float:
-    """Beta minimizing the squared MEV mismatch against a reference (typically
-    exact_mev at the largest feasible N).
+    """Beta minimizing the squared MEV mismatch against a reference MEV array
+    in motif-code order (typically exact_mev at the largest feasible N).
 
     The mismatch plateaus at large beta (the thermal state saturates towards
     the H_K ground state), so a coarse log-spaced scan brackets the minimum
@@ -408,13 +396,10 @@ def calibrate_beta(
     """
     from scipy.optimize import minimize_scalar
 
-    motifs = all_motifs(m, k)
-    ref = np.array([reference[mo] for mo in motifs])
+    ref = np.asarray(reference, dtype=float)
 
     def objective(beta: float) -> float:
-        diag = cft_mev(k, beta, m)
-        vals = np.array([diag[mo] for mo in motifs])
-        return float(((vals - ref) ** 2).sum())
+        return float(((cft_mev(k, beta, m) - ref) ** 2).sum())
 
     grid = np.geomspace(lo, hi, 64)
     vals = np.array([objective(b) for b in grid])
@@ -428,13 +413,11 @@ def calibrate_beta(
     return float(res.x)
 
 
-def cumulative_class_mass(
-    gs: GroundStateSolution, partition: EquivalenceClassPartition, threshold: float
-) -> int:
-    """Number of equivalence classes (by descending psi^2 mass) needed to reach
-    the threshold of the total probability."""
-    if len(partition.class_ids) != len(gs.amplitudes):
-        raise ValueError("partition is not over the ground state's basis")
+def cumulative_class_mass(gs: GroundStateSolution, threshold: float) -> int:
+    """Number of equivalence classes of the ground state's basis (by
+    descending psi^2 mass) needed to reach the threshold of the total
+    probability."""
+    partition = gs.partition
     masses = np.bincount(partition.class_ids, weights=gs.amplitudes**2,
                          minlength=len(partition))
     if threshold >= 1.0:

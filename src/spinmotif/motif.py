@@ -1,10 +1,11 @@
 """Motif (cyclic K-substring) counting, motif count matrices, and exact rank.
 
-Motifs are label tuples ordered lexicographically.  Counts are taken over
-states given as the rows of an ``(S, N)`` label array, a single state being a
-one-row array, and come back as int64 arrays with one row per motif and one
-column per state.  Rank computations use exact integer arithmetic, with
-floats allowed only as cross-checks.  The independent rows of a count matrix,
+A motif is its base-M code, site 0 most significant, so code order is the
+lexicographic order of the label tuples; tuples are only the text form.
+Counts are taken over states given as the rows of an ``(S, N)`` label array,
+a single state being a one-row array, and come back as int64 arrays with one
+row per motif code and one column per state.  Rank computations use exact
+integer arithmetic, with floats allowed only as cross-checks.  The independent rows of a count matrix,
 whose number is its rank, come from Gauss-Jordan elimination modulo one
 31-bit prime in int64, accepted only with an integer certificate: left-kernel
 vectors Y with ``Y @ A == 0`` checked exactly under a stated overflow bound
@@ -14,8 +15,7 @@ cover falls back to fraction-free Bareiss elimination over the integers.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-from itertools import product
+from itertools import permutations, product
 
 import numpy as np
 
@@ -23,6 +23,7 @@ from .spinchain import (
     canonical_codes,
     enumerate_basis,
     partition_classes,
+    state_codes,
     translation_representatives,
 )
 
@@ -30,7 +31,14 @@ Motif = tuple[int, ...]
 
 
 def all_motifs(m: int, k: int) -> list[Motif]:
+    """Every K-motif as a label tuple, in code order: the text form."""
     return list(product(range(m), repeat=k))
+
+
+def motif_digits(m: int, k: int) -> np.ndarray:
+    """Every K-motif as a row of labels, in code order: an ``(m**k, k)``
+    int64 array whose row c is the motif with code c."""
+    return np.indices((m,) * k, dtype=np.int64).reshape(k, -1).T
 
 
 def motif_index(motif: Motif, m: int) -> int:
@@ -48,7 +56,7 @@ def conjugate(motif: Motif) -> Motif:
 
 
 def _window_counts(
-    states: np.ndarray, k: int, m: int, motif_codes: list[int] | None = None
+    states: np.ndarray, k: int, m: int, motif_codes: np.ndarray | None = None
 ) -> np.ndarray:
     """Cyclic motif counts of each row of an ``(S, N)`` label array, as an
     ``(m**k, S)`` int64 matrix, or only the rows of the distinct
@@ -69,10 +77,10 @@ def _window_counts(
         codes += np.roll(labels, -j, axis=1)
     rows, n_rows = codes, m**k
     if motif_codes is not None:
-        wanted = np.asarray(motif_codes, dtype=np.int64)
-        order = np.argsort(wanted)
-        slot = order[np.searchsorted(wanted, codes, sorter=order).clip(max=len(wanted) - 1)]
-        rows, n_rows = np.where(wanted[slot] == codes, slot, -1), len(wanted)
+        order = np.argsort(motif_codes)
+        slot = order[np.searchsorted(motif_codes, codes, sorter=order)
+                     .clip(max=len(motif_codes) - 1)]
+        rows, n_rows = np.where(motif_codes[slot] == codes, slot, -1), len(motif_codes)
     flat = rows * n_states + np.arange(n_states)[:, None]
     return np.bincount(flat[rows >= 0], minlength=n_rows * n_states).reshape(n_rows, n_states)
 
@@ -87,14 +95,15 @@ def motif_count_matrix(
     return _window_counts(states, k, m)
 
 
-def motif_count_rows(states: np.ndarray, motifs: Sequence[Motif], m: int) -> np.ndarray:
-    """The rows of the motif count matrix for the given distinct motifs of one
-    length, as a ``(len(motifs), S)`` int64 array.  The other rows are never
+def motif_count_rows(states: np.ndarray, codes: np.ndarray, k: int, m: int) -> np.ndarray:
+    """The rows of the K-motif count matrix for the given distinct motif
+    codes, as a ``(len(codes), S)`` int64 array.  The other rows are never
     built, so memory scales with the S x N window codes, not with m**k."""
-    if not motifs or len({len(mo) for mo in motifs}) > 1 or len(set(motifs)) < len(motifs):
-        raise ValueError("need distinct motifs of one length")
-    codes = [motif_index(mo, m) for mo in motifs]
-    return _window_counts(states, len(motifs[0]), m, codes)
+    codes = np.asarray(codes, dtype=np.int64)
+    distinct = np.unique(codes)
+    if not len(codes) or len(distinct) < len(codes) or distinct[0] < 0 or distinct[-1] >= m**k:
+        raise ValueError(f"need distinct motif codes in [0, {m}**{k})")
+    return _window_counts(states, k, m, codes)
 
 
 def _bareiss_pivots(rows: list[list[int]]) -> list[int]:
@@ -216,14 +225,6 @@ def integer_rank(matrix: np.ndarray) -> int:
     return len(independent_rows(matrix))
 
 
-def float_rank(matrix: np.ndarray, rtol: float = 1e-8) -> int:
-    """Float-SVD numerical rank; cross-check only, never the source of truth."""
-    svals = np.linalg.svd(np.asarray(matrix, dtype=float), compute_uv=False)
-    if svals.size == 0 or svals[0] == 0.0:
-        return 0
-    return int(np.sum(svals > rtol * svals[0]))
-
-
 def rank_scan(n: int, m: int, k_max: int | None = None) -> tuple[int, list[int], int | None]:
     """Exact ranks of the K-motif count matrix of the (n, m) sector for
     K = 1, 2, ..., k_max, with the equivalence-class count and K*, the first K
@@ -293,22 +294,16 @@ def ambiguous_pair(n: int, k: int, m: int = 2) -> np.ndarray:
     raise RuntimeError(f"no ambiguous pair found for N={n}, K={k}, M={m}")
 
 
-def motif_symmetry_classes(k: int, m: int) -> list[tuple[Motif, ...]]:
+def motif_symmetry_classes(k: int, m: int) -> list[np.ndarray]:
     """Orbits of motifs under label permutation and reflection about the window
-    center (the symmetries of the entanglement Hamiltonian)."""
-    from itertools import permutations
+    center (the symmetries of the entanglement Hamiltonian), as sorted code
+    arrays ordered by their smallest code.
 
-    seen: set[Motif] = set()
-    classes: list[tuple[Motif, ...]] = []
-    for mo in all_motifs(m, k):
-        if mo in seen:
-            continue
-        members = set()
-        for perm in permutations(range(m)):
-            relabeled = tuple(perm[x] for x in mo)
-            members.add(relabeled)
-            members.add(relabeled[::-1])
-        members_t = tuple(sorted(members))
-        classes.append(members_t)
-        seen.update(members_t)
-    return classes
+    The group's images of a motif are its whole orbit, so the orbit of each
+    code is the set of its image codes, and the orbits' smallest codes are
+    the smallest images."""
+    digits = motif_digits(m, k)
+    images = np.stack([state_codes(np.asarray(perm)[oriented], m)
+                       for perm in permutations(range(m))
+                       for oriented in (digits, digits[:, ::-1])], axis=1)
+    return [np.unique(images[code]) for code in np.unique(images.min(axis=1))]

@@ -18,9 +18,6 @@ from math import factorial
 
 import numpy as np
 
-#: One state as a label tuple: the working state of the Metropolis sampler.
-SpinConfig = tuple[int, ...]
-
 #: Refuse to enumerate bases larger than this; bigger systems go through sampling.
 DEFAULT_BASIS_CAP = 20_000_000
 

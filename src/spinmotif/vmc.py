@@ -20,7 +20,7 @@ from .ansatz import (
     project_grandsum,
     unpack_gradient,
 )
-from .spinchain import SpinConfig, enumerate_basis, state_codes
+from .spinchain import enumerate_basis, state_codes
 
 ALGORITHMS = ("original", "symforce-init", "symforce-traj")
 
@@ -105,10 +105,11 @@ def _logpsi_fast(wl: list[list[float]], b: float, v: float, s: list[int],
     return v * total
 
 
-def random_state(n: int, rng: np.random.Generator, m: int = 2) -> SpinConfig:
+def random_state(n: int, rng: np.random.Generator, m: int = 2) -> np.ndarray:
+    """A uniformly shuffled zero-magnetization state as a uint8 label row."""
     base = np.repeat(np.arange(m), n // m)
     rng.shuffle(base)
-    return tuple(int(x) for x in base)
+    return base.astype(np.uint8)
 
 
 def metropolis_chain(
@@ -116,10 +117,11 @@ def metropolis_chain(
     cfg: SamplerConfig,
     n: int,
     rng: np.random.Generator | None = None,
-    initial: SpinConfig | None = None,
+    initial: np.ndarray | None = None,
 ) -> np.ndarray:
     """Metropolis samples of |psi|^2, shape (n_samples, N).
 
+    The chain starts from the label row ``initial``, or from a random state.
     Proposal: swap two uniformly chosen unlike-label sites (or adjacent sites);
     accept with min(1, exp(2*delta ln psi)).  The number of unlike pairs is
     constant on the fixed-composition sector, so the proposal is symmetric.
@@ -128,7 +130,7 @@ def metropolis_chain(
         rng = np.random.default_rng(cfg.seed)
     burn_in = 10 * n if cfg.burn_in is None else cfg.burn_in
     stride = n if cfg.thinning is None else cfg.thinning
-    s = list(initial if initial is not None else random_state(n, rng, p.m))
+    s = (initial if initial is not None else random_state(n, rng, p.m)).tolist()
 
     wl = [[float(x) for x in row] for row in p.w]
     b, v, k = float(p.b), float(p.v), p.k
@@ -242,10 +244,10 @@ def train(
         p = project_grandsum(p)
 
     traj = TrainingTrajectory()
-    state: SpinConfig | None = None
+    state: np.ndarray | None = None
     for _ in range(cfg.max_iter):
         samples = metropolis_chain(p, sampler, n, rng=chain_rng, initial=state)
-        state = tuple(int(x) for x in samples[-1])
+        state = samples[-1]
         eloc = local_energies(p, samples)
         e_hat = float(eloc.mean())
         stderr = float(eloc.std(ddof=1) / np.sqrt(len(eloc)))

@@ -1,12 +1,14 @@
 """Helpers shared by the test modules: the tuple-loop and orientation-loop
 reference implementations that the array code in ``spinmotif`` is checked
-against."""
+against, and the float cross-checks that the package does not need."""
 
 from itertools import permutations
 
 import numpy as np
 
 from spinmotif.ansatz import _windows
+from spinmotif.exact import _entanglement_eigh
+from spinmotif.motif import all_motifs, motif_index
 from spinmotif.spinchain import state_codes
 
 
@@ -93,3 +95,54 @@ def logpsi_gradient(p, s):
         if firing[i]:
             dw[np.arange(p.k), win[i]] += p.v
     return dv, dw, db
+
+
+def float_rank(matrix, rtol=1e-8):
+    """Float-SVD numerical rank; a cross-check of the exact rank only."""
+    svals = np.linalg.svd(np.asarray(matrix, dtype=float), compute_uv=False)
+    if svals.size == 0 or svals[0] == 0.0:
+        return 0
+    return int(np.sum(svals > rtol * svals[0]))
+
+
+def cft_thermal_weights(k, beta, m=2):
+    """Boltzmann weights exp(-beta * eps)/Z of the eigenvalues of H_K."""
+    evals, _ = _entanglement_eigh(k, m)
+    w = np.exp(-beta * (evals - evals.min()))
+    return w / w.sum()
+
+
+def entanglement_hamiltonian_by_tuples(k, m=2):
+    """H_K with parabolic bond weights, built by a loop over label tuples and
+    bonds: a like bond adds its weight on the diagonal, an unlike bond at the
+    swapped tuple's row."""
+    dim = m**k
+    h = np.zeros((dim, dim))
+    for col, s in enumerate(all_motifs(m, k)):
+        for i in range(k - 1):
+            coef = (i + 1) * (k - i - 1) / k
+            if s[i] == s[i + 1]:
+                h[col, col] += coef
+            else:
+                t = s[:i] + (s[i + 1], s[i]) + s[i + 2:]
+                h[motif_index(t, m), col] += coef
+    return h
+
+
+def motif_symmetry_classes_by_tuples(k, m):
+    """Orbits of label tuples under relabeling and reflection, each a sorted
+    tuple, in order of their first member in lexicographic order."""
+    seen = set()
+    classes = []
+    for mo in all_motifs(m, k):
+        if mo in seen:
+            continue
+        members = set()
+        for perm in permutations(range(m)):
+            relabeled = tuple(perm[x] for x in mo)
+            members.add(relabeled)
+            members.add(relabeled[::-1])
+        members = tuple(sorted(members))
+        classes.append(members)
+        seen.update(members)
+    return classes

@@ -35,6 +35,7 @@ from spinmotif.exact import (
     truncation_size,
 )
 from spinmotif.motif import (
+    all_motifs,
     ambiguous_pair,
     integer_rank,
     motif_count_matrix,
@@ -253,8 +254,7 @@ def test_criterion_11_mev_symmetry_classes(gs_cache):
     for n in (8, 12, 16):
         mev = exact_mev(gs_cache[n], 4)
         for cls in motif_symmetry_classes(4, 2):
-            vals = [mev[mo] for mo in cls]
-            worst = max(worst, max(vals) - min(vals))
+            worst = max(worst, mev[cls].max() - mev[cls].min())
     _report(11, f"MEV spread within symmetry classes {worst:.2e}", worst < 1e-10)
 
 
@@ -266,8 +266,7 @@ def test_criterion_12_cft_convergence(gs_cache):
     for n in (8, 12, 16):
         mev = exact_mev(gs_cache[n], 4)
         errs.append(max(
-            abs(np.mean([thermal[mo] for mo in cls])
-                - np.mean([mev[mo] for mo in cls]))
+            abs(np.mean(thermal[cls]) - np.mean(mev[cls]))
             for cls in classes
         ))
     ok = errs[0] > errs[1] > errs[2]
@@ -293,8 +292,7 @@ def test_criterion_13_truncation_scaling(gs_cache):
 def test_criterion_14_cumulative_class_mass(gs_cache):
     counts = []
     for n in (8, 10, 12, 14, 16):
-        part = partition_classes(gs_cache[n].states, 2)
-        counts.append(cumulative_class_mass(gs_cache[n], part, 0.99))
+        counts.append(cumulative_class_mass(gs_cache[n], 0.99))
     increasing = all(a < b for a, b in zip(counts, counts[1:]))
     x = np.column_stack([np.ones(5), np.arange(8, 17, 2, dtype=float)])
     y = np.array(counts, dtype=float)
@@ -317,9 +315,8 @@ def test_criterion_15_regression_harness(gs_cache):
     se_dev = np.abs(res.std_errors - oracle_se).max()
 
     mev = exact_mev(gs_cache[16], 4)
-    motifs = list(mev)
-    design, names = feature_design(motifs)
-    fit = ols_regress(design, 100 * np.array([mev[mo] for mo in motifs]), names)
+    design, names = feature_design(all_motifs(2, 4))
+    fit = ols_regress(design, 100 * mev, names)
     signs = tuple(np.sign(fit.coefficients[1:4]))
     _report(15, f"recovery {recovery:.2e}, SE dev {se_dev:.2e}, "
                 f"signs {signs}",
@@ -331,7 +328,7 @@ def test_criterion_16_maxent_fit(gs_cache):
     for k in (2, 3):
         targets = exact_mev(gs_cache[8], k)
         mp = fit_maxent(targets, gs_cache[8].states, k, tol=1e-8)
-        ok &= len(mp.motifs) == 2 ** (k - 1)
+        ok &= len(mp.codes) == 2 ** (k - 1)
         # residual recheck against the fit targets
         from spinmotif.ansatz import maxent_state_probs
 
@@ -339,8 +336,7 @@ def test_criterion_16_maxent_fit(gs_cache):
         model = np.zeros(2**k)
         for s, pr in zip(gs_cache[8].states, probs):
             model += pr * motif_count_matrix(s[None], k, 2)[:, 0] / 8.0
-        resid = max(abs(model[sum(x * 2**i for i, x in enumerate(reversed(mo)))]
-                        - targets[mo]) for mo in mp.motifs)
+        resid = np.abs(model[mp.codes] - targets[mp.codes]).max()
         ok &= resid < 1e-8
     _report(16, "MaxEnt dual Newton converged on the independent operator set",
             ok)

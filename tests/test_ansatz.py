@@ -24,7 +24,13 @@ from spinmotif.ansatz import (
     unpack_gradient,
 )
 from spinmotif.exact import exact_mev, ground_state
-from spinmotif.motif import all_motifs, integer_rank, motif_count_matrix, motif_count_rows
+from spinmotif.motif import (
+    all_motifs,
+    integer_rank,
+    motif_count_matrix,
+    motif_count_rows,
+    motif_index,
+)
 from spinmotif.spinchain import enumerate_basis
 
 
@@ -154,9 +160,10 @@ class TestMaxEnt:
             mp = fit_maxent(targets, basis, k, m=m, tol=tol)
             probs = maxent_state_probs(mp, basis, m)
             model = probs @ motif_count_matrix(basis, k, m).T / n
-            assert model == pytest.approx([targets[mo] for mo in all_motifs(m, k)], abs=1e-8)
-            ops = motif_count_rows(basis, mp.motifs, m)
-            assert (len(mp.motifs) == integer_rank(ops)
+            assert model == pytest.approx(targets, abs=1e-8)
+            assert mp.codes.dtype == np.int64 and mp.k == k
+            ops = motif_count_rows(basis, mp.codes, k, m)
+            assert (len(mp.codes) == integer_rank(ops)
                     == integer_rank(motif_count_matrix(basis, k, m)))
             hessian = 2.0 * (ops * probs) @ ops.T
             assert np.linalg.eigvalsh(hessian)[0] > 0.0
@@ -172,19 +179,21 @@ class TestMaxEnt:
         # K = N = 26 is far past the size cap of the full motif count matrix
         rng = np.random.default_rng(3)
         basis = [tuple(int(x) for x in rng.permutation([0, 1] * 13)) for _ in range(4)]
-        mp = MaxEntParams(motifs=(basis[0], basis[1][::-1]), lam=np.array([0.5, -1.25]),
-                          ln_z=0.75)
+        motifs = (basis[0], basis[1][::-1])
+        mp = MaxEntParams(codes=np.array([motif_index(mo, 2) for mo in motifs]), k=26,
+                          lam=np.array([0.5, -1.25]), ln_z=0.75)
         counts = [[sum((s + s)[i : i + 26] == mo for i in range(26)) for s in basis]
-                  for mo in mp.motifs]
+                  for mo in motifs]
         assert np.allclose(maxent_logpsi(mp, np.array(basis, dtype=np.uint8)),
                            mp.lam @ np.array(counts) - mp.ln_z)
 
     def test_missing_targets_rejected(self):
         gs = ground_state(6, 2, gauge=True)
         targets = exact_mev(gs, 2)
-        targets.pop((0, 1))
         with pytest.raises(ValueError):
-            fit_maxent(targets, gs.states, 2)
+            fit_maxent(np.delete(targets, 1), gs.states, 2)
+        with pytest.raises(ValueError):
+            fit_maxent(targets[:, None], gs.states, 2)
 
 
 @given(cnn_params(scale=2.0))

@@ -155,7 +155,8 @@ def test_exact_outputs_match_library_with_one_rdm_build(runner, tmp_path, monkey
     gs = exact.ground_state(n, 2, gauge=True)
     mev = exact.exact_mev(gs, k)
     assert (out / "mev.csv").read_text() == "motif,probability,count\n" + "".join(
-        f"{''.join(map(str, mo))},{v!r},{v * n!r}\n" for mo, v in mev.items())
+        f"{''.join(map(str, mo))},{v!r},{v * n!r}\n"
+        for mo, v in zip(motif.all_motifs(2, k), mev.tolist()))
     spectrum = exact.entanglement_spectrum(build_rdm(gs, k))
     assert (out / "spectrum.json").read_text() == json.dumps(
         {"K": k, "epsilon": list(spectrum)}, indent=2) + "\n"
@@ -189,7 +190,9 @@ def test_cft_with_explicit_beta(runner, tmp_path):
                                   "--out", str(out)])
     assert result.exit_code == 0, result.output
     assert json.loads((out / "beta.json").read_text())["beta"] == 1.5
-    assert (out / "cft_mev.csv").exists()
+    assert (out / "cft_mev.csv").read_bytes() == ("motif,probability\n" + "".join(
+        f"{''.join(map(str, mo))},{v!r}\n"
+        for mo, v in zip(motif.all_motifs(2, 3), exact.cft_mev(3, 1.5).tolist()))).encode()
 
 
 def test_train_and_regress_pipeline(runner, tmp_path):

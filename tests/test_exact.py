@@ -6,7 +6,12 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from conftest import marshall_sign, tuples
+from conftest import (
+    cft_thermal_weights,
+    entanglement_hamiltonian_by_tuples,
+    marshall_sign,
+    tuples,
+)
 
 from spinmotif import exact
 from spinmotif.exact import (
@@ -17,7 +22,6 @@ from spinmotif.exact import (
     build_hamiltonian,
     calibrate_beta,
     cft_mev,
-    cft_thermal_weights,
     cumulative_class_mass,
     entanglement_hamiltonian,
     entanglement_spectrum,
@@ -264,6 +268,18 @@ def test_emax_certificate_is_checked(monkeypatch):
         ground_state(8, 2, gauge=True, dense_cap=0)
 
 
+@pytest.mark.parametrize("n,m", [(3, 3), (4, 4), (5, 5), (6, 3), (6, 2)])
+def test_dense_emax_is_certified_n(monkeypatch, n, m):
+    # dense eigh puts the top eigenvalue a few ulps off N at M >= 3
+    gs = ground_state(n, m)
+    assert gs.solver == "dense" and gs.emax == float(n)
+    top = np.linalg.eigvalsh(build_hamiltonian(gs.states).toarray())[-1]
+    assert gs.emax == pytest.approx(top, abs=1e-10)
+    monkeypatch.setattr(exact, "RESIDUAL_TOL", -1.0)
+    with pytest.raises(ResidualError, match="E_max"):
+        ground_state(n, m)
+
+
 def test_lanczos_path_matches_dense():
     dense = ground_state(10, 2, gauge=True, dense_cap=10**6)
     assert dense.solver == "dense"
@@ -372,12 +388,13 @@ def test_reduced_density_matrix_properties():
 def test_mev_probability_and_count_conventions():
     gs = ground_state(8, 2, gauge=True)
     prob = exact_mev(gs, 3)
-    cnt = exact_mev(gs, 3, counts=True)
-    assert sum(prob.values()) == pytest.approx(1.0, abs=1e-12)
-    for mo in prob:
-        assert cnt[mo] == pytest.approx(8 * prob[mo], abs=1e-12)
+    assert prob.shape == (8,) and prob.sum() == pytest.approx(1.0, abs=1e-12)
+    # the count convention, N times the probability, is the mean motif count
+    cnt = gs.physical_amplitudes() ** 2 @ motif_count_matrix(gs.states, 3, 2).T
+    assert cnt == pytest.approx(8 * prob, abs=1e-12)
+    for code, mo in enumerate(all_motifs(2, 3)):
         # conjugation symmetry of the zero-magnetization ground state
-        assert prob[conjugate(mo)] == pytest.approx(prob[mo], abs=1e-12)
+        assert prob[motif_index(conjugate(mo), 2)] == pytest.approx(prob[code], abs=1e-12)
 
 
 def test_mev_matches_direct_window_average():
@@ -387,8 +404,7 @@ def test_mev_matches_direct_window_average():
     direct = np.zeros(4)
     for s, a in zip(gs.states, amps):
         direct += a * a * motif_count_matrix(s[None], 2, 2)[:, 0] / 8.0
-    for mo, val in mev.items():
-        assert val == pytest.approx(direct[motif_index(mo, 2)], abs=1e-12)
+    assert mev == pytest.approx(direct, abs=1e-12)
 
 
 def test_entanglement_spectrum_ascending_and_normalized():
@@ -417,10 +433,17 @@ def test_entanglement_hamiltonian_structure():
     assert h[motif_index((0, 0, 0), 2), motif_index((0, 0, 0), 2)] == pytest.approx(4 / 3)
     # relabeling symmetry of the thermal diagonal
     diag = cft_mev(3, 1.0)
-    for mo in all_motifs(2, 3):
-        assert diag[mo] == pytest.approx(diag[conjugate(mo)], abs=1e-12)
-        assert diag[mo] == pytest.approx(diag[mo[::-1]], abs=1e-12)
-    assert sum(diag.values()) == pytest.approx(1.0, abs=1e-12)
+    for code, mo in enumerate(all_motifs(2, 3)):
+        assert diag[code] == pytest.approx(diag[motif_index(conjugate(mo), 2)], abs=1e-12)
+        assert diag[code] == pytest.approx(diag[motif_index(mo[::-1], 2)], abs=1e-12)
+    assert diag.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("m,k", [(2, k) for k in range(1, 9)] + [(3, k) for k in range(1, 6)])
+def test_entanglement_hamiltonian_matches_tuple_loop(m, k):
+    h = entanglement_hamiltonian(k, m)
+    expected = entanglement_hamiltonian_by_tuples(k, m)
+    assert h.dtype == expected.dtype and np.array_equal(h, expected)
 
 
 def test_thermal_weights_normalized():
@@ -432,7 +455,7 @@ def test_thermal_weights_normalized():
 def test_calibrate_beta_flat_objective_is_numerical_error():
     # a single-site window has no bonds, so the thermal MEVs ignore beta
     with pytest.raises(NumericalCheckError):
-        calibrate_beta(1, {(0,): 0.5, (1,): 0.5})
+        calibrate_beta(1, np.array([0.5, 0.5]))
 
 
 def test_calibrate_beta_recovers_planted_value():
@@ -448,11 +471,12 @@ def test_calibrate_beta_recovers_planted_value():
 
 
 def test_cumulative_class_mass_bounds():
-    gs = ground_state(8, 2, gauge=True)
-    part = partition_classes(gs.states, 2)
-    c50 = cumulative_class_mass(gs, part, 0.5)
-    c99 = cumulative_class_mass(gs, part, 0.99)
-    assert 1 <= c50 <= c99 <= len(part)
+    # M=2 reads the partition of the sector solve, M=3 builds it on first use
+    for gs in (ground_state(8, 2, gauge=True), ground_state(6, 3)):
+        c50 = cumulative_class_mass(gs, 0.5)
+        c99 = cumulative_class_mass(gs, 0.99)
+        assert 1 <= c50 <= c99 <= len(partition_classes(gs.states, gs.m))
+        assert cumulative_class_mass(gs, 1.0) == len(gs.partition)
 
 
 def test_gap_estimate_positive():

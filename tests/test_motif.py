@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from conftest import orbit, tuples
+from conftest import float_rank, motif_symmetry_classes_by_tuples, orbit, tuples
 from hypothesis import given, settings, strategies as st
 
 from spinmotif import motif
@@ -14,7 +14,6 @@ from spinmotif.motif import (
     ambiguous_pair,
     conjugate,
     critical_kernel_size,
-    float_rank,
     independent_rows,
     integer_rank,
     motif_count_matrix,
@@ -83,9 +82,8 @@ def test_motif_count_matrix_matches_window_loop(n, m):
         assert mcm.dtype == np.int64
         assert np.array_equal(mcm, expected)
         assert np.array_equal(motif_count_matrix(states[-1:], k, m)[:, 0], expected[:, -1])
-        picked = all_motifs(m, k)[::-3]  # out of lexicographic order
-        rows = [motif_index(mo, m) for mo in picked]
-        assert np.array_equal(motif_count_rows(states, picked, m), expected[rows])
+        picked = np.arange(m**k)[::-3]  # out of code order
+        assert np.array_equal(motif_count_rows(states, picked, k, m), expected[picked])
 
 
 def test_motif_count_rows_above_the_full_matrix_cap():
@@ -98,12 +96,14 @@ def test_motif_count_rows_above_the_full_matrix_cap():
     with pytest.raises(MemoryError):
         motif_count_matrix(members, 28, 2)
     picked = [s[3:] + s[:3], (0,) * 14 + (1,) * 14, cls[-1]]
-    counts = motif_count_rows(members, picked, 2)
+    codes = np.array([motif_index(mo, 2) for mo in picked])
+    counts = motif_count_rows(members, codes, 28, 2)
     expected = [[sum((t + t)[i : i + 28] == mo for i in range(28)) for t in cls]
                 for mo in picked]
     assert np.array_equal(counts, expected)
-    with pytest.raises(ValueError):
-        motif_count_rows(members, [picked[0], picked[0]], 2)
+    for bad in ([codes[0], codes[0]], [], [-1], [2**28]):
+        with pytest.raises(ValueError):
+            motif_count_rows(members, np.array(bad, dtype=np.int64), 28, 2)
 
 
 def test_motif_count_matrix_checks_sizes():
@@ -293,9 +293,19 @@ def test_ambiguous_pair_requires_small_k():
 def test_motif_symmetry_classes_partition():
     for k in (2, 3, 4):
         classes = motif_symmetry_classes(k, 2)
-        flat = [mo for cls in classes for mo in cls]
-        assert sorted(flat) == all_motifs(2, k)
+        assert np.array_equal(np.sort(np.concatenate(classes)), np.arange(2**k))
+        motifs = all_motifs(2, k)
         for cls in classes:
-            for mo in cls:
-                assert conjugate(mo) in cls
-                assert mo[::-1] in cls
+            for code in cls:
+                assert motif_index(conjugate(motifs[code]), 2) in cls
+                assert motif_index(motifs[code][::-1], 2) in cls
+
+
+@pytest.mark.parametrize("m,k", [(2, k) for k in range(1, 9)] + [(3, k) for k in range(1, 6)])
+def test_motif_symmetry_classes_match_tuple_loop(m, k):
+    classes = motif_symmetry_classes(k, m)
+    expected = motif_symmetry_classes_by_tuples(k, m)
+    assert len(classes) == len(expected)
+    for cls, members in zip(classes, expected):
+        assert cls.dtype == np.int64
+        assert cls.tolist() == [motif_index(mo, m) for mo in members]

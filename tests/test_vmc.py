@@ -53,7 +53,8 @@ def test_random_state_in_sector():
     rng = np.random.default_rng(0)
     for _ in range(20):
         s = random_state(8, rng)
-        assert sorted(s) == [0] * 4 + [1] * 4
+        assert s.dtype == np.uint8 and s.shape == (8,)
+        assert sorted(s.tolist()) == [0] * 4 + [1] * 4
 
 
 def test_full_basis_energy_equals_rayleigh_quotient():
