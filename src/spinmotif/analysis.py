@@ -1,13 +1,12 @@
-"""Error metrics, motif features, MEV class ordering, and OLS regression."""
+"""Motif features, OLS regression, and the outlier filter of the error model."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from .exact import GroundStateSolution, gap_estimate
 from .motif import Motif
 
 # two-sided normal thresholds for 95 / 99 / 99.9 percent
@@ -103,85 +102,18 @@ def ols_regress(
 
 
 def outlier_filter(
-    records: Sequence, key: str = "delta_e_rel", threshold: float = 6.0
+    records: Sequence[Mapping], key: str = "delta_e_rel", threshold: float = 6.0
 ) -> tuple[list, int]:
-    """Drop observations with relative energy error >= threshold (inclusive).
-    Records may be mappings or attribute-bearing objects."""
+    """Drop the records whose relative energy error ``record[key]`` is >=
+    threshold (inclusive)."""
     kept = []
     removed = 0
     for rec in records:
-        value = rec[key] if isinstance(rec, dict) else getattr(rec, key)
-        if value >= threshold:
+        if rec[key] >= threshold:
             removed += 1
         else:
             kept.append(rec)
     return kept, removed
-
-
-@dataclass
-class MotifClassTable:
-    """Motif classes with equal truth MEVs, ordered by descending MEV; each
-    class is a sorted array of motif codes."""
-
-    classes: list[np.ndarray]
-    mevs: list[float]
-
-    @property
-    def representatives(self) -> np.ndarray:
-        """The smallest code of each class."""
-        return np.array([cls[0] for cls in self.classes], dtype=np.int64)
-
-    def __len__(self) -> int:
-        return len(self.classes)
-
-
-def mev_class_ordering(truth: np.ndarray, tol: float = 1e-9) -> MotifClassTable:
-    """Group the motif codes of an MEV array whose truth MEVs agree within
-    tol with the first (largest) MEV of their class; classes sorted by
-    descending MEV (Neel class first for the antiferromagnetic chain)."""
-    truth = np.asarray(truth, dtype=float)
-    classes: list[list[int]] = []
-    anchors: list[float] = []
-    for code in np.argsort(-truth, kind="stable").tolist():
-        if classes and abs(anchors[-1] - truth[code]) <= tol:
-            classes[-1].append(code)
-        else:
-            classes.append([code])
-            anchors.append(truth[code])
-    return MotifClassTable(classes=[np.sort(cls) for cls in classes],
-                           mevs=[float(truth[cls].mean()) for cls in classes])
-
-
-@dataclass
-class ErrorReport:
-    delta_e: float  # E_hat - E0
-    delta_e_rel: float  # (E_hat - E0) / gap estimate
-    class_errors: list[float]  # per-class mean relative MEV error, by MEV rank
-
-
-def error_report(
-    e_hat: float,
-    model_mevs: np.ndarray,
-    gs: GroundStateSolution,
-    truth_mevs: np.ndarray,
-    n_classes: int | None = None,
-) -> ErrorReport:
-    """Energy and per-class MEV errors of a trained model against the oracle;
-    the MEVs are arrays in motif-code order."""
-    model_mevs, truth_mevs = np.asarray(model_mevs), np.asarray(truth_mevs)
-    table = mev_class_ordering(truth_mevs)
-    limit = len(table) if n_classes is None else min(n_classes, len(table))
-    class_errors = []
-    for cls, truth_val in zip(table.classes[:limit], table.mevs[:limit]):
-        if truth_val == 0:
-            raise ValueError(f"zero truth MEV in the class of motif code {cls[0]}")
-        errs = (model_mevs[cls] - truth_mevs[cls]) / truth_mevs[cls]
-        class_errors.append(float(errs.mean()))
-    gap = gap_estimate(gs)
-    delta = e_hat - gs.e0
-    return ErrorReport(
-        delta_e=delta, delta_e_rel=delta / gap, class_errors=class_errors
-    )
 
 
 def feature_design(motifs: Sequence[Motif]) -> tuple[np.ndarray, list[str]]:

@@ -218,8 +218,13 @@ def fit_maxent(
     return MaxEntParams(codes=rows.astype(np.int64), k=k, lam=lam, ln_z=ln_z)
 
 
-def maxent_state_probs(mp: MaxEntParams, basis: np.ndarray, m: int = 2) -> np.ndarray:
-    """Normalized P(s) = psi^2 over an ``(S, N)`` label basis for a fitted model."""
-    logpsi = maxent_logpsi(mp, basis, m)
+def born_weights(logpsi: np.ndarray) -> np.ndarray:
+    """psi^2 normalized over the states whose ln psi are given; ln psi is
+    shifted by its maximum first, so that exp cannot overflow."""
     w = np.exp(2.0 * (logpsi - logpsi.max()))
     return w / w.sum()
+
+
+def maxent_state_probs(mp: MaxEntParams, basis: np.ndarray, m: int = 2) -> np.ndarray:
+    """Normalized P(s) = psi^2 over an ``(S, N)`` label basis for a fitted model."""
+    return born_weights(maxent_logpsi(mp, basis, m))

@@ -363,12 +363,17 @@ def train(cfg: dict, out_dir: Path) -> None:
                       help="training summary.json files for the error model"))
 def regress(cfg: dict, out_dir: Path) -> None:
     """Fit the declared regression models and emit coefficient tables."""
-    runs = list(cfg.get("runs", ()))
-    _echo_config(out_dir, "regress", {"mev_csv": cfg.get("mev_csv"), "runs": runs})
+    runs, mev_csv = cfg.get("runs", ()), cfg.get("mev_csv")
+    if not isinstance(runs, (list, tuple)) or not all(isinstance(r, str) for r in runs):
+        raise ValueError(f"runs must be a list of paths, got {runs!r}")
+    if mev_csv is not None and not isinstance(mev_csv, str):
+        raise ValueError(f"mev_csv must be a path, got {mev_csv!r}")
+    runs = list(runs)
+    _echo_config(out_dir, "regress", {"mev_csv": mev_csv, "runs": runs})
     did_anything = False
-    if cfg.get("mev_csv"):
+    if mev_csv:
         motifs, values = [], []
-        rows = csv.DictReader(_read_input(cfg["mev_csv"]).splitlines())
+        rows = csv.DictReader(_read_input(mev_csv).splitlines())
         missing = {"motif", "probability"} - set(rows.fieldnames or ())
         if missing:
             raise ValueError(f"MEV table has no {', '.join(sorted(missing))} column")

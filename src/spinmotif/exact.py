@@ -113,7 +113,10 @@ class GroundStateSolution:
 
     @cached_property
     def codes(self) -> np.ndarray:
-        """Sorted base-M codes of the basis states."""
+        """Sorted base-M codes of the basis states: the partition's when the
+        solve built one (M=2), else computed on first use."""
+        if self.classes is not None:
+            return self.classes.codes
         return state_codes(self.states, self.m)
 
     @property
@@ -416,15 +419,14 @@ def calibrate_beta(
 def cumulative_class_mass(gs: GroundStateSolution, threshold: float) -> int:
     """Number of equivalence classes of the ground state's basis (by
     descending psi^2 mass) needed to reach the threshold of the total
-    probability."""
+    probability, by :func:`truncation_size`; at threshold 1 the number of
+    classes with nonzero mass."""
     partition = gs.partition
     masses = np.bincount(partition.class_ids, weights=gs.amplitudes**2,
                          minlength=len(partition))
     if threshold >= 1.0:
         return int(np.sum(masses > 0))
-    order = np.sort(masses)[::-1]
-    cum = np.cumsum(order)
-    return int(np.searchsorted(cum, threshold * cum[-1]) + 1)
+    return truncation_size(masses, threshold)
 
 
 def gap_estimate(gs: GroundStateSolution) -> float:

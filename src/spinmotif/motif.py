@@ -41,20 +41,6 @@ def motif_digits(m: int, k: int) -> np.ndarray:
     return np.indices((m,) * k, dtype=np.int64).reshape(k, -1).T
 
 
-def motif_index(motif: Motif, m: int) -> int:
-    idx = 0
-    for x in motif:
-        idx = idx * m + x
-    return idx
-
-
-def conjugate(motif: Motif) -> Motif:
-    """Label-swapped partner of an M=2 motif."""
-    if any(x > 1 for x in motif):
-        raise ValueError("conjugate is only defined for M=2 motifs")
-    return tuple(1 - x for x in motif)
-
-
 def _window_counts(
     states: np.ndarray, k: int, m: int, motif_codes: np.ndarray | None = None
 ) -> np.ndarray:

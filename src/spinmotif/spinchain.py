@@ -87,14 +87,15 @@ def state_codes(states: np.ndarray, m: int, dtype: type = np.int64) -> np.ndarra
 @dataclass
 class EquivalenceClassPartition:
     """Orbit partition of a lex-sorted basis: ``class_ids[i]`` is the class of
-    basis state ``i``, and classes are ordered by their lex-min representative."""
+    basis state ``i``, and classes are ordered by their lex-min representative.
+    ``codes`` are the basis states' codes, computed once for the partition."""
 
     class_ids: np.ndarray  # (S,) class index per basis state
-    n_classes: int
-    representatives: np.ndarray  # (n_classes,) basis index of each lex-min member
+    representatives: np.ndarray  # (C,) basis index of each lex-min member
+    codes: np.ndarray  # (S,) int64 code per basis state, sorted
 
     def __len__(self) -> int:
-        return self.n_classes
+        return len(self.representatives)
 
 
 def _rotation_extremes(states: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -173,9 +174,10 @@ def partition_classes(states: np.ndarray, m: int) -> EquivalenceClassPartition:
     binary search of its canonical code among theirs.
     """
     canonical = canonical_codes(states, m)
-    representatives = np.flatnonzero(canonical == state_codes(states, m))
+    codes = state_codes(states, m)
+    representatives = np.flatnonzero(canonical == codes)
     class_ids = np.searchsorted(canonical[representatives], canonical)
-    return EquivalenceClassPartition(class_ids, len(representatives), representatives)
+    return EquivalenceClassPartition(class_ids, representatives, codes)
 
 
 def class_count_lower_bound(n: int, m: int) -> Fraction:

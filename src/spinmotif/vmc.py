@@ -14,6 +14,7 @@ import numpy as np
 
 from .ansatz import (
     CnnParams,
+    born_weights,
     cnn_logpsi_batch,
     grandsum,
     logpsi_gradient_batch,
@@ -30,14 +31,11 @@ class SamplerConfig:
     n_samples: int = 1000
     burn_in: int | None = None  # proposed moves; default 10*N
     thinning: int | None = None  # moves between samples; default N
-    proposal: str = "any-pair"  # or "adjacent"
     seed: int = 0
 
     def __post_init__(self) -> None:
         if self.n_samples < 1:
             raise ValueError("n_samples must be >= 1")
-        if self.proposal not in ("any-pair", "adjacent"):
-            raise ValueError(f"unknown proposal kind {self.proposal!r}")
 
 
 @dataclass
@@ -122,9 +120,10 @@ def metropolis_chain(
     """Metropolis samples of |psi|^2, shape (n_samples, N).
 
     The chain starts from the label row ``initial``, or from a random state.
-    Proposal: swap two uniformly chosen unlike-label sites (or adjacent sites);
-    accept with min(1, exp(2*delta ln psi)).  The number of unlike pairs is
-    constant on the fixed-composition sector, so the proposal is symmetric.
+    Proposal: swap two uniformly chosen unlike-label sites, a like pair being
+    drawn again; accept with min(1, exp(2*delta ln psi)).  The number of
+    unlike pairs is constant on the fixed-composition sector, so the proposal
+    is symmetric.
     """
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
@@ -138,7 +137,6 @@ def metropolis_chain(
 
     total_moves = burn_in + cfg.n_samples * stride
     samples = np.empty((cfg.n_samples, n), dtype=np.intp)
-    adjacent = cfg.proposal == "adjacent"
     # draw randomness in chunks; scalar generator calls dominate otherwise
     chunk = 8192
     ints = rng.integers(0, n, size=(0,))
@@ -151,22 +149,17 @@ def metropolis_chain(
                 ints = rng.integers(0, n, size=chunk)
                 logs = np.log(rng.random(size=chunk))
                 ii = 0
-            i = int(ints[ii])
-            j = (i + 1) % n if adjacent else int(ints[ii + 1])
+            i, j = int(ints[ii]), int(ints[ii + 1])
             logu = float(logs[ii])
             ii += 2
-            if s[i] != s[j] or adjacent:
-                # adjacent same-label draws count as null moves to keep the
-                # proposal symmetric; any-pair resamples (unlike-pair count is
-                # constant on the sector, so that proposal is symmetric too)
+            if s[i] != s[j]:
                 break
-        if s[i] != s[j]:
+        s[i], s[j] = s[j], s[i]
+        new = _logpsi_fast(wl, b, v, s, n, k)
+        if logu < 2.0 * (new - cur):
+            cur = new
+        else:
             s[i], s[j] = s[j], s[i]
-            new = _logpsi_fast(wl, b, v, s, n, k)
-            if logu < 2.0 * (new - cur):
-                cur = new
-            else:
-                s[i], s[j] = s[j], s[i]
         if move >= burn_in and (move - burn_in + 1) % stride == 0:
             samples[out] = s
             out += 1
@@ -193,9 +186,7 @@ def exact_energy_gradient(
     """Full-batch gradient of the Rayleigh quotient, summing over an
     ``(S, N)`` label basis with psi^2 weights.  Feasible only at small N."""
     states = np.asarray(basis, dtype=np.intp)
-    logpsi = cnn_logpsi_batch(p, states)
-    w = np.exp(2.0 * (logpsi - logpsi.max()))
-    w /= w.sum()
+    w = born_weights(cnn_logpsi_batch(p, states))
     eloc = local_energies(p, states)
     o = logpsi_gradient_batch(p, states)
     mean_e = float(w @ eloc)
@@ -208,10 +199,7 @@ def exact_energy(p: CnnParams, basis: np.ndarray) -> float:
     """Rayleigh quotient of the gauged Hamiltonian via summation over an
     ``(S, N)`` label basis."""
     states = np.asarray(basis, dtype=np.intp)
-    logpsi = cnn_logpsi_batch(p, states)
-    w = np.exp(2.0 * (logpsi - logpsi.max()))
-    w /= w.sum()
-    return float(w @ local_energies(p, states))
+    return float(born_weights(cnn_logpsi_batch(p, states)) @ local_energies(p, states))
 
 
 def init_params(k: int, m: int, rng: np.random.Generator) -> CnnParams:

@@ -8,8 +8,23 @@ import numpy as np
 
 from spinmotif.ansatz import _windows
 from spinmotif.exact import _entanglement_eigh
-from spinmotif.motif import all_motifs, motif_index
+from spinmotif.motif import all_motifs
 from spinmotif.spinchain import state_codes
+
+
+def motif_index(motif, m):
+    """Base-m code of a label tuple, site 0 most significant."""
+    idx = 0
+    for x in motif:
+        idx = idx * m + x
+    return idx
+
+
+def conjugate(motif):
+    """Label-swapped partner of an M=2 label tuple."""
+    if any(x > 1 for x in motif):
+        raise ValueError("conjugate is only defined for M=2 motifs")
+    return tuple(1 - x for x in motif)
 
 
 def tuples(states):

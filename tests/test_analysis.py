@@ -1,18 +1,16 @@
-"""Motif features, OLS harness, outlier filter, MEV class ordering."""
+"""Motif features, OLS harness, outlier filter, motif classes by MEV."""
 
 import numpy as np
 import pytest
 
 from spinmotif.analysis import (
-    ErrorReport,
-    error_report,
     feature_design,
-    mev_class_ordering,
     motif_features,
     ols_regress,
     outlier_filter,
 )
-from spinmotif.exact import exact_mev, ground_state
+from spinmotif.exact import ground_state, partial_trace, reduced_density_matrix
+from spinmotif.motif import motif_symmetry_classes
 
 
 def test_motif_features_by_hand():
@@ -82,26 +80,21 @@ def test_outlier_filter_inclusive_threshold():
     assert [r["delta_e_rel"] for r in kept] == [0.5, 5.9]
 
 
-def test_mev_class_ordering_groups_equal_values():
-    gs = ground_state(12, 2, gauge=True)
-    truth = exact_mev(gs, 4)
-    table = mev_class_ordering(truth)
-    # classes cover all motifs, descending MEV, Neel class first
-    assert sum(len(c) for c in table.classes) == 16
-    assert table.mevs == sorted(table.mevs, reverse=True)
-    assert table.classes[0].tolist() == [0b0101, 0b1010]
-    assert table.representatives.tolist() == [cls[0] for cls in table.classes]
-    for cls, val in zip(table.classes, table.mevs):
-        assert truth[cls] == pytest.approx(val, abs=1e-9)
-
-
-def test_error_report_scaling():
-    gs = ground_state(8, 2, gauge=True)
-    truth = exact_mev(gs, 3)
-    model = truth * 1.01  # uniform +1% bias
-    rep = error_report(gs.e0 + 0.1, model, gs, truth)
-    assert isinstance(rep, ErrorReport)
-    assert rep.delta_e == pytest.approx(0.1)
-    assert rep.delta_e_rel == pytest.approx(0.1 / ((gs.emax - gs.e0) / 70))
-    for err in rep.class_errors:
-        assert err == pytest.approx(0.01, abs=1e-12)
+@pytest.mark.parametrize("n", [8, 12, 16])
+def test_motif_symmetry_classes_order_by_exact_mev(n):
+    """Ordered by exact MEV, the symmetry orbits are the MEV classes: members
+    of one orbit share their MEV, and the means of two orbits differ by more
+    than 1e-9, so grouping equal MEVs within that tolerance gives the orbits."""
+    gs = ground_state(n, 2, gauge=True)
+    rho = reduced_density_matrix(gs, min(6, n // 2))
+    for k in range(2, min(6, n // 2) + 1):
+        truth = np.diag(partial_trace(rho, k).rho)
+        classes = motif_symmetry_classes(k, 2)
+        means = np.array([truth[cls].mean() for cls in classes])
+        order = np.argsort(-means, kind="stable")
+        for cls, mean in zip(classes, means):
+            assert truth[cls] == pytest.approx(mean, abs=1e-12)
+        gaps = np.abs(means[:, None] - means[None, :])
+        assert gaps[~np.eye(len(classes), dtype=bool)].min() > 1e-9
+        if k == 4:
+            assert classes[order[0]].tolist() == [0b0101, 0b1010]

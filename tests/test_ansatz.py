@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import logpsi_gradient, tuples
+from conftest import logpsi_gradient, motif_index, tuples
 from hypothesis import given, settings, strategies as st
 
 from spinmotif.ansatz import (
@@ -29,7 +29,6 @@ from spinmotif.motif import (
     integer_rank,
     motif_count_matrix,
     motif_count_rows,
-    motif_index,
 )
 from spinmotif.spinchain import enumerate_basis
 

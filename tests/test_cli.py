@@ -1,12 +1,13 @@
 """CLI subcommands: outputs, config echo/override, exit codes."""
 
 import json
+import sys
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from spinmotif import exact, motif, vmc
+from spinmotif import exact, motif, spinchain, vmc
 from spinmotif.cli import main
 
 
@@ -51,6 +52,9 @@ def _raise_memory_error(*args, **kwargs):
     pytest.param(["regress", "--runs", "bad-run.json"], None, id="regress-run-not-object"),
     pytest.param(["regress", "--runs", "delta-text.json"], None, id="regress-delta-text"),
     pytest.param(["regress", "--runs", "delta-null.json"], None, id="regress-delta-null"),
+    pytest.param(["regress", "--config", "runs-int.json"], None, id="regress-runs-int"),
+    pytest.param(["regress", "--config", "runs-text.json"], None, id="regress-runs-text"),
+    pytest.param(["regress", "--config", "mev-csv-int.json"], None, id="regress-mev-csv-int"),
     pytest.param(["exact", "-n", "8", "-k", "-1"], None, id="exact-k-negative"),
     pytest.param(["exact", "-n", "8", "-k", "0"], None, id="exact-k-zero"),
     pytest.param(["mev", "-n", "8", "-k", "-2"], None, id="mev-k-negative"),
@@ -88,6 +92,9 @@ def test_invalid_config_is_exit_2(runner, tmp_path, monkeypatch, args, target):
     (tmp_path / "eta-null.json").write_text(json.dumps({"N": 8, "eta": None}))
     (tmp_path / "eta-nan-text.json").write_text(json.dumps({"N": 8, "eta": "nan"}))
     (tmp_path / "beta-list.json").write_text(json.dumps({"K": 3, "beta": [1]}))
+    (tmp_path / "runs-int.json").write_text(json.dumps({"runs": 5}))
+    (tmp_path / "runs-text.json").write_text(json.dumps({"runs": "s.json"}))
+    (tmp_path / "mev-csv-int.json").write_text(json.dumps({"mev_csv": 5}))
     if target:
         monkeypatch.setattr(*target, _raise_memory_error)
     out = tmp_path / "x"
@@ -166,6 +173,32 @@ def test_exact_outputs_match_library_with_one_rdm_build(runner, tmp_path, monkey
         f"{kk},{c}\n" for kk, c in enumerate(counts, start=1))
 
 
+def test_exact_computes_basis_codes_once(runner, tmp_path, monkeypatch):
+    # the partition's codes serve the RDM too; the calls on the class
+    # representatives and on canonical_codes' relabeled blocks take other arrays
+    bases, coded = [], []
+    enumerate_basis, state_codes = spinchain.enumerate_basis, spinchain.state_codes
+
+    def kept_basis(*args, **kwargs):
+        bases.append(enumerate_basis(*args, **kwargs))
+        return bases[-1]
+
+    def recorded_codes(states, *args, **kwargs):
+        coded.append(states)
+        return state_codes(states, *args, **kwargs)
+
+    wrappers = {enumerate_basis: kept_basis, state_codes: recorded_codes}
+    for module in [m for name, m in sys.modules.items() if name.startswith("spinmotif")]:
+        for key, value in list(vars(module).items()):
+            for original, wrapper in wrappers.items():
+                if value is original:
+                    monkeypatch.setattr(module, key, wrapper)
+    result = runner.invoke(main, ["exact", "-n", "12", "-k", "4", "--out", str(tmp_path / "e")])
+    assert result.exit_code == 0, result.output
+    assert len(bases) == 1
+    assert sum(states is bases[0] for states in coded) == 1
+
+
 def test_exact_replays_byte_for_byte(runner, tmp_path):
     # N=16 has 257 classes, so the sector solve takes the Lanczos path
     outs = [tmp_path / "a", tmp_path / "b"]
@@ -205,6 +238,9 @@ def test_train_and_regress_pipeline(runner, tmp_path):
     summary = json.loads((tdir / "summary.json").read_text())
     assert len(summary["runs"]) == 2
     assert summary["best_energy"] <= summary["mean_energy"]
+    gs = exact.ground_state(6, 2, gauge=True)
+    for run in summary["runs"]:
+        assert run["delta_E_rel"] == (run["final_energy"] - gs.e0) / exact.gap_estimate(gs)
     assert (tdir / "trajectory_seed0.csv").exists()
     assert (tdir / "checkpoint_seed1.json").exists()
 

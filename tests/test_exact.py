@@ -8,8 +8,10 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from conftest import (
     cft_thermal_weights,
+    conjugate,
     entanglement_hamiltonian_by_tuples,
     marshall_sign,
+    motif_index,
     tuples,
 )
 
@@ -33,7 +35,7 @@ from spinmotif.exact import (
     sector_hamiltonian,
     truncation_size,
 )
-from spinmotif.motif import all_motifs, conjugate, motif_count_matrix, motif_index
+from spinmotif.motif import all_motifs, motif_count_matrix
 from spinmotif.spinchain import (
     enumerate_basis,
     marshall_signs,

@@ -2,7 +2,14 @@
 
 import numpy as np
 import pytest
-from conftest import float_rank, motif_symmetry_classes_by_tuples, orbit, tuples
+from conftest import (
+    conjugate,
+    float_rank,
+    motif_index,
+    motif_symmetry_classes_by_tuples,
+    orbit,
+    tuples,
+)
 from hypothesis import given, settings, strategies as st
 
 from spinmotif import motif
@@ -12,13 +19,11 @@ from spinmotif.motif import (
     _left_kernel_mod_p,
     all_motifs,
     ambiguous_pair,
-    conjugate,
     critical_kernel_size,
     independent_rows,
     integer_rank,
     motif_count_matrix,
     motif_count_rows,
-    motif_index,
     motif_symmetry_classes,
     rank_scan,
 )

@@ -181,7 +181,7 @@ def test_partition_matches_unique_construction(n):
     part = partition_classes(states, 2)
     codes, first, class_ids = np.unique(canonical_codes_by_orientation(states, 2),
                                         return_index=True, return_inverse=True)
-    assert part.n_classes == len(codes)
+    assert len(part) == len(codes)
     assert np.array_equal(part.class_ids, class_ids)
     assert np.array_equal(part.representatives, first)
 

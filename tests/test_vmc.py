@@ -45,8 +45,6 @@ def test_config_validation():
         TrainConfig(eta=-1.0)
     with pytest.raises(ValueError):
         SamplerConfig(n_samples=0)
-    with pytest.raises(ValueError):
-        SamplerConfig(proposal="flip")
 
 
 def test_random_state_in_sector():
@@ -85,8 +83,7 @@ def test_sampler_stays_in_sector_and_mixes():
     assert len({tuple(s) for s in samples}) > 10
 
 
-@pytest.mark.parametrize("proposal", ["any-pair", "adjacent"])
-def test_sampler_matches_exact_distribution(proposal):
+def test_sampler_matches_exact_distribution():
     """Chi-squared-style check of the empirical state histogram at N=6."""
     basis = enumerate_basis(6, 2)
     index = {s: i for i, s in enumerate(tuples(basis))}
@@ -94,7 +91,7 @@ def test_sampler_matches_exact_distribution(proposal):
     logpsi = cnn_logpsi_batch(p, np.asarray(basis, dtype=np.intp))
     target = np.exp(2 * (logpsi - logpsi.max()))
     target /= target.sum()
-    cfg = SamplerConfig(n_samples=40_000, thinning=6, proposal=proposal, seed=11)
+    cfg = SamplerConfig(n_samples=40_000, thinning=6, seed=11)
     samples = metropolis_chain(p, cfg, 6)
     counts = np.bincount([index[tuple(s)] for s in samples], minlength=len(basis))
     emp = counts / counts.sum()
